@@ -1,46 +1,33 @@
-//! Serial vs frontier peeling engine, crossed with the lazy and
-//! materialized backends, on generated inputs.
+//! Serial vs frontier peeling engine on generated inputs.
 //!
 //! For each graph (Erdős–Rényi, Barabási–Albert, R-MAT) and each of the
-//! (2,3) and (3,4) spaces, five rows are measured:
+//! (2,3) and (3,4) spaces, these rows are measured:
 //!
 //! * `serial-lazy/…` — bucket-queue `Set-λ` over on-the-fly container
 //!   enumeration (the paper's sequential baseline);
 //! * `serial-materialized/…` — the same loop over a pre-built
-//!   [`MaterializedSpace`] (PR 2's fast path);
-//! * `frontier-lazy/…` — frontier rounds over on-the-fly enumeration
-//!   (quantifies how much the engine needs the flat index);
-//! * `frontier-materialized-t1/…` — frontier rounds over the index on
-//!   one thread: the engine's algorithmic constants, isolated from
-//!   parallelism (plain load/store decrements, no bucket maintenance);
-//! * `frontier-materialized-tN/…` — the same with N = all available
-//!   CPUs (equals t1 on a single-core host, where spawn overhead is
-//!   pure loss — the committed JSONs from the build container record
-//!   exactly that).
-//!
-//! The `frontier-*` rows above run with the hybrid drain *disabled*
-//! (`serial_round_threshold: 0`) so their meaning stays fixed across
-//! PRs. On top of them:
-//!
-//! * `frontier-hybrid-t1`/`-tN/…` — frontier rounds with the default
-//!   hybrid policy (mid-level frontiers below 64 cells drain their
-//!   λ-level serially; a level opening with under 1/8 of the remaining
-//!   cells hands the whole residual to the serial bucket queue), the
-//!   configuration `PeelEngine::Frontier` actually ships with;
+//!   [`ContainerIndex`] (flat index scans);
+//! * `frontier-hybrid-t1`/`-tN/…` — the frontier engine
+//!   (`peel_with_sink` with `PlainSink`) over the index with default
+//!   tuning, at one thread and at N = all available CPUs: mid-level
+//!   frontiers below 64 cells drain their λ-level serially, and a level
+//!   opening with under 1/8 of the remaining cells hands the whole
+//!   residual to the serial bucket queue — the configuration
+//!   `PeelEngine::Frontier` ships with;
 //! * `fnd-serial/…` — serial FND (Alg. 8) over the index: peel *plus*
 //!   hierarchy construction, the end-to-end baseline;
-//! * `fnd-frontier-t1`/`-tN/…` — parallel FND riding the hybrid
-//!   frontier engine; comparing against `fnd-serial` prices the whole
-//!   parallel hierarchy construction, not just the peel.
+//! * `fnd-frontier-t1`/`-tN/…` — parallel FND riding the frontier
+//!   engine; comparing against `fnd-serial` prices the whole parallel
+//!   hierarchy construction, not just the peel.
 //!
 //! Space construction and (for the materialized rows) the index build
 //! happen outside the timed region, so rows isolate peeling-loop cost
 //! only. JSON results land in `results/BENCH_peel_engine_*.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nucleus_core::algo::fnd::{fnd, fnd_parallel};
-use nucleus_core::peel::{peel, peel_parallel_with, FrontierOptions};
-use nucleus_core::space::{EdgeSpace, MaterializedSpace, PeelSpace, TriangleSpace};
+use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+use nucleus_core::peel::{peel, peel_with_sink, FrontierOptions, PlainSink};
+use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace, PeelSpace, TriangleSpace};
 use nucleus_graph::CsrGraph;
 
 /// Deterministic inputs, smallest to largest (by edge count); same
@@ -72,24 +59,15 @@ fn bench_space<S: PeelSpace + Sync>(
     let all_threads = std::thread::available_parallelism()
         .map_or(1, |p| p.get())
         .max(2);
-    // Pure frontier rounds: the historical rows, hybrid drain off.
-    let pure = |threads: usize| FrontierOptions {
-        threads,
-        serial_round_threshold: 0,
-        ..FrontierOptions::default()
-    };
-    // What `PeelEngine::Frontier` ships: default hybrid threshold.
-    let hybrid = |threads: usize| FrontierOptions {
+    let opts = |threads: usize| FrontierOptions {
         threads,
         ..FrontierOptions::default()
     };
     group.bench_with_input(BenchmarkId::new("serial-lazy", name), space, |b, s| {
         b.iter(|| peel(s).max_lambda);
     });
-    group.bench_with_input(BenchmarkId::new("frontier-lazy", name), space, |b, s| {
-        b.iter(|| peel_parallel_with(s, pure(1)).max_lambda);
-    });
-    let mat = MaterializedSpace::new(space);
+    let index = ContainerIndex::build(space, all_threads);
+    let mat = IndexedSpace::new(space, &index);
     group.bench_with_input(
         BenchmarkId::new("serial-materialized", name),
         &mat,
@@ -97,47 +75,31 @@ fn bench_space<S: PeelSpace + Sync>(
             b.iter(|| peel(m).max_lambda);
         },
     );
-    group.bench_with_input(
-        BenchmarkId::new("frontier-materialized-t1", name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, pure(1)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("frontier-materialized-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, pure(all_threads)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("frontier-hybrid-t1", name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, hybrid(1)).max_lambda);
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new(format!("frontier-hybrid-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| peel_parallel_with(m, hybrid(all_threads)).max_lambda);
-        },
-    );
+    for threads in [1, all_threads] {
+        group.bench_with_input(
+            BenchmarkId::new(format!("frontier-hybrid-t{threads}"), name),
+            &mat,
+            |b, m| {
+                b.iter(|| peel_with_sink(m, opts(threads), &mut PlainSink).max_lambda);
+            },
+        );
+    }
     group.bench_with_input(BenchmarkId::new("fnd-serial", name), &mat, |b, m| {
         b.iter(|| fnd(m).peeling.max_lambda);
     });
-    group.bench_with_input(BenchmarkId::new("fnd-frontier-t1", name), &mat, |b, m| {
-        b.iter(|| fnd_parallel(m, 1).peeling.max_lambda);
-    });
-    group.bench_with_input(
-        BenchmarkId::new(format!("fnd-frontier-t{all_threads}"), name),
-        &mat,
-        |b, m| {
-            b.iter(|| fnd_parallel(m, all_threads).peeling.max_lambda);
-        },
-    );
+    for threads in [1, all_threads] {
+        group.bench_with_input(
+            BenchmarkId::new(format!("fnd-frontier-t{threads}"), name),
+            &mat,
+            |b, m| {
+                b.iter(|| {
+                    fnd_parallel_with(m, FndOptions::default(), opts(threads))
+                        .peeling
+                        .max_lambda
+                });
+            },
+        );
+    }
 }
 
 fn bench_peel_engine_truss(c: &mut Criterion) {

@@ -39,7 +39,7 @@ use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
 use nucleus_core::algo::dft::dft;
 use nucleus_core::algo::fnd::{build_hierarchy, fnd, fnd_classify};
 use nucleus_core::prelude::*;
-use nucleus_core::space::MaterializedSpace;
+use nucleus_core::space::{ContainerIndex, IndexedSpace};
 use nucleus_graph::CsrGraph;
 
 fn smoke() -> bool {
@@ -90,10 +90,12 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_>) {
 fn bench_assembly<S: nucleus_core::space::PeelSpace + Sync>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
-    mat: &MaterializedSpace<'_, S>,
+    space: &S,
 ) {
     let tn = all_threads();
-    let classified = fnd_classify(mat, FndOptions::default(), FrontierOptions::default());
+    let index = ContainerIndex::build(space, tn);
+    let mat = IndexedSpace::new(space, &index);
+    let classified = fnd_classify(&mat, FndOptions::default(), FrontierOptions::default());
     let max_lambda = classified.peeling.max_lambda;
     group.bench_with_input(
         BenchmarkId::new("hierarchy-assembly-serial", name),
@@ -179,8 +181,7 @@ fn bench_phases_truss(c: &mut Criterion) {
                 fnd(&es).hierarchy.nucleus_count()
             });
         });
-        let mat = MaterializedSpace::new(&es);
-        bench_assembly(&mut group, name, &mat);
+        bench_assembly(&mut group, name, &es);
         bench_prepare_total(&mut group, name, g, Kind::Truss);
     }
     group.finish();
@@ -242,8 +243,7 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 fnd(&ts).hierarchy.nucleus_count()
             });
         });
-        let mat = MaterializedSpace::new(&ts);
-        bench_assembly(&mut group, name, &mat);
+        bench_assembly(&mut group, name, &ts);
         bench_prepare_total(&mut group, name, g, Kind::Nucleus34);
     }
     group.finish();

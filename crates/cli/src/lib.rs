@@ -106,8 +106,7 @@ USAGE:
                            (or the (r,s) pair: 1,2 | 1,3 | 2,3 | 2,4 | 3,4)
                     [--index INDEX] [--algo <naive|dft|fnd|lcps>]
                     [--backend <auto|lazy|materialized>]
-                    [--engine <auto|serial|frontier>] [--threads N]
-                    [--frontier-serial-below N] [--explain]
+                    [--engine <auto|serial|frontier>] [--threads N] [--explain]
                     [--json FILE] [--dot FILE] [--depth N]
   nucleus stats     --input FILE
   nucleus update    --input FILE --ops OPS
@@ -135,12 +134,6 @@ examples:
 With --index, --kind is optional (the index file stores the family) and
 must agree with the file when given; the index is rejected if the graph
 changed since `prepare`.
-
---frontier-serial-below N tunes the frontier engine's hybrid rounds:
-mid-level frontiers with fewer than N cells drain their λ-level
-serially, and a λ-level opening with under 1/8 of the remaining cells
-hands the whole residual to the serial bucket queue
-(default 64; 0 disables both fallbacks).
 
 `update` reads OPS as one op per line (`+ U V`, `- U V`, `#` comments),
 applies it in `--batch`-sized batches (0 = one batch) with exact
@@ -273,10 +266,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let backend = parse_backend(args.get_or("backend", "auto"))?;
     let engine = parse_engine(args.get_or("engine", "auto"))?;
     let threads = args.num("threads", 0usize)?;
-    let frontier_serial_below = args.num(
-        "frontier-serial-below",
-        FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD,
-    )?;
     let prepared = if let Some(index_path) = args.flags.get("index") {
         let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
         // --kind is optional here (the file stores the family) but must
@@ -298,7 +287,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .backend(backend)
             .engine(engine)
             .threads(threads)
-            .frontier_serial_below(frontier_serial_below)
             .prepare_from_index(index)
             .map_err(|e| e.to_string())?
     } else {
@@ -312,7 +300,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .backend(backend)
             .engine(engine)
             .threads(threads)
-            .frontier_serial_below(frontier_serial_below)
             .prepare()
             .map_err(|e| e.to_string())?
     };
@@ -825,8 +812,8 @@ mod tests {
         // identical hierarchies → identical renderings after the timing line
         let tree = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
         assert_eq!(tree(&serial), tree(&frontier));
-        // FND rides the frontier engine too (with a tuned hybrid
-        // threshold), producing the same hierarchy
+        // FND rides the frontier engine too, producing the same
+        // hierarchy
         let fnd_frontier = run_to_string(&[
             "decompose",
             "--input",
@@ -839,8 +826,6 @@ mod tests {
             "frontier",
             "--threads",
             "2",
-            "--frontier-serial-below",
-            "4",
         ])
         .unwrap();
         assert!(

@@ -61,14 +61,20 @@ use nucleus_dsf::ConcurrentSets;
 use nucleus_graph::bucket::PeelBuckets;
 
 use crate::hierarchy::{Hierarchy, NO_NODE};
-use crate::peel::{peel_with_sink, FrontierOptions, PeelSink, Peeling};
+use crate::peel::{effective_threads, peel_with_sink, FrontierOptions, PeelSink, Peeling};
 use crate::skeleton::Skeleton;
 use crate::space::{PeelBackend, PeelCells, PeelSpace};
 
 /// Counters reported alongside the FND hierarchy (Table 3 columns).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FndStats {
-    /// Number of (possibly non-maximal) sub-nuclei |T*_{r,s}|.
+    /// Number of (possibly non-maximal) sub-nuclei |T*_{r,s}|. Engine
+    /// dependent, although the hierarchy is not: the serial loop
+    /// ([`fnd`]) counts the sub-nuclei it *creates*, as in the paper's
+    /// Table 3, which depends on the processing order; the frontier
+    /// engine ([`fnd_parallel_with`]) counts the same-λ components it
+    /// finds — the maximal sub-nuclei |T_{r,s}|, never more than the
+    /// serial count.
     pub subnuclei: usize,
     /// |c↓(T*_{r,s})|: recorded connections from higher-λ sub-nuclei to
     /// lower-λ ones (the length of `ADJ`).
@@ -245,7 +251,7 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for FndSink {
     }
 
     #[inline]
-    fn scan_cell<D: Fn(u32) -> bool>(
+    fn scan_cell<D: FnMut(u32) -> bool>(
         &self,
         space: &B,
         cells: &PeelCells,
@@ -253,7 +259,7 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for FndSink {
         u: u32,
         level: u32,
         stamp: u32,
-        dec: &D,
+        dec: &mut D,
         next: &mut Vec<u32>,
         part: &mut Self::Part,
     ) {
@@ -297,42 +303,34 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for FndSink {
     }
 }
 
-/// Runs FastNucleusDecomposition through the frontier-parallel engine
-/// with default [`FndOptions`]. See [`fnd_parallel_with`].
-pub fn fnd_parallel<S: PeelSpace + Sync>(space: &S, threads: usize) -> FndOutcome {
-    fnd_parallel_with(
-        space,
-        FndOptions::default(),
-        FrontierOptions {
-            threads,
-            ..FrontierOptions::default()
-        },
-    )
-}
-
 /// Runs FastNucleusDecomposition on top of the frontier-parallel
 /// peeling engine: λ-level rounds peel in parallel while a classifying
 /// sink inspects containers on the fly, then a sequential finalize merges
 /// the classified structure into the same canonical [`Hierarchy`] the
 /// serial [`fnd`] produces (the peeling *order* differs within levels —
 /// rounds emit ascending ids, the bucket queue its own positions — but
-/// λ values and the hierarchy are identical).
+/// λ values and the hierarchy are identical). `frontier.threads` also
+/// sizes the parallel `ADJ` resolution and [`build_hierarchy`]; `0`
+/// means every available CPU for all three.
 ///
 /// ```
-/// use nucleus_core::algo::fnd::{fnd, fnd_parallel};
-/// use nucleus_core::space::{EdgeSpace, MaterializedSpace};
+/// use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
+/// use nucleus_core::peel::FrontierOptions;
+/// use nucleus_core::space::{ContainerIndex, EdgeSpace, IndexedSpace};
 ///
 /// let g = nucleus_gen::paper::fig3_bowtie();
 /// let es = EdgeSpace::new(&g);
-/// let m = MaterializedSpace::new(&es);
-/// assert_eq!(fnd_parallel(&m, 2).hierarchy, fnd(&es).hierarchy);
+/// let index = ContainerIndex::build(&es, 2);
+/// let opts = FrontierOptions { threads: 2, ..FrontierOptions::default() };
+/// let par = fnd_parallel_with(&IndexedSpace::new(&es, &index), FndOptions::default(), opts);
+/// assert_eq!(par.hierarchy, fnd(&es).hierarchy);
 /// ```
 pub fn fnd_parallel_with<S: PeelSpace + Sync>(
     space: &S,
     options: FndOptions,
     frontier: FrontierOptions,
 ) -> FndOutcome {
-    let threads = frontier.threads;
+    let threads = effective_threads(frontier.threads);
     let min_parallel = frontier.min_parallel_work;
     let FndClassified {
         peeling,
@@ -399,6 +397,10 @@ pub fn fnd_classify<S: PeelSpace + Sync>(
 ) -> FndClassified {
     let t0 = Instant::now();
     let n = space.cell_count();
+    let frontier = FrontierOptions {
+        threads: effective_threads(frontier.threads),
+        ..frontier
+    };
     let mut sink = FndSink {
         dsu: ConcurrentSets::new(n),
         adj: Vec::new(),
@@ -698,14 +700,16 @@ mod tests {
     }
 
     /// Parallel FND must produce the serial hierarchy bit for bit —
-    /// across thread counts, with the spawn path forced, and with the
-    /// hybrid drain off, always-on, and mixed.
+    /// across thread counts (`0` = all CPUs), with the spawn path
+    /// forced, and with level drains never taken, always taken, and
+    /// mixed.
     fn check_parallel_matches_serial(g: &nucleus_graph::CsrGraph) {
         fn check<S: crate::space::PeelSpace + Sync>(space: &S) {
             let serial = fnd(space);
-            let m = crate::space::MaterializedSpace::new(space);
-            for serial_round_threshold in [0, 3, usize::MAX] {
-                for threads in [1, 2, 8] {
+            let index = crate::space::ContainerIndex::build(space, 2);
+            let m = crate::space::IndexedSpace::new(space, &index);
+            for serial_round_threshold in [1, 3, usize::MAX] {
+                for threads in [0, 1, 2, 8] {
                     let fopts = crate::peel::FrontierOptions {
                         threads,
                         min_parallel_work: 0,
@@ -737,11 +741,12 @@ mod tests {
     fn parallel_fnd_dedup_preserves_hierarchy() {
         let g = nucleus_gen::karate::karate_club();
         let es = EdgeSpace::new(&g);
-        let m = crate::space::MaterializedSpace::new(&es);
+        let index = crate::space::ContainerIndex::build(&es, 2);
+        let m = crate::space::IndexedSpace::new(&es, &index);
         let fopts = crate::peel::FrontierOptions {
             threads: 2,
             min_parallel_work: 0,
-            serial_round_threshold: 0,
+            serial_round_threshold: 1,
         };
         let raw = fnd_parallel_with(&m, FndOptions::default(), fopts);
         let deduped = fnd_parallel_with(

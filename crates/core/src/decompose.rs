@@ -240,7 +240,7 @@ impl std::fmt::Display for Backend {
 pub enum PeelEngine {
     /// The classic sequential bucket-queue loop ([`crate::peel::peel`]).
     Serial,
-    /// Frontier-parallel `Set-λ` ([`crate::peel::peel_parallel`]) with
+    /// Frontier-parallel `Set-λ` ([`crate::peel::peel_with_sink`]) with
     /// hybrid serial drains for sub-threshold levels: whole λ-level
     /// rounds, decrements applied concurrently. Requires the
     /// materialized backend (selecting it with [`Backend::Auto`]
@@ -335,11 +335,6 @@ pub struct DecomposeOptions {
     /// and parallel ω counting where a space supports it. `0` means
     /// "all available CPUs".
     pub threads: usize,
-    /// Hybrid-round threshold for the frontier engine: frontiers
-    /// smaller than this drain the rest of their λ-level serially
-    /// ([`crate::peel::FrontierOptions::serial_round_threshold`]).
-    /// `0` disables the fallback; ignored by the serial engine.
-    pub frontier_serial_below: usize,
 }
 
 impl Default for DecomposeOptions {
@@ -348,7 +343,6 @@ impl Default for DecomposeOptions {
             backend: Backend::Auto,
             engine: PeelEngine::Auto,
             threads: 0,
-            frontier_serial_below: crate::peel::FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD,
         }
     }
 }
@@ -356,11 +350,7 @@ impl Default for DecomposeOptions {
 impl DecomposeOptions {
     /// The thread count with `0` resolved to the CPU count.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
+        crate::peel::effective_threads(self.threads)
     }
 }
 
@@ -386,6 +376,11 @@ impl PhaseTimes {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SkeletonStats {
     /// Sub-nuclei created: |T| for DFT, |T*| for FND, nodes for others.
+    /// FND's |T*| depends on the engine that ran, although the
+    /// hierarchy does not: [`PeelEngine::Serial`] counts the sub-nuclei
+    /// Alg. 8 creates (order dependent, as in the paper's Table 3),
+    /// [`PeelEngine::Frontier`] the same-λ components (= |T|), which
+    /// is never more (see [`crate::algo::fnd::FndStats::subnuclei`]).
     pub subnuclei: usize,
     /// |c↓(T*)| (FND only; zero otherwise).
     pub adj_connections: usize,
@@ -467,7 +462,6 @@ pub fn decompose_with(
         .backend(backend)
         .engine(options.engine)
         .threads(options.threads)
-        .frontier_serial_below(options.frontier_serial_below)
         .prepare()?
         .run(algorithm)
 }
@@ -564,7 +558,6 @@ mod tests {
                         // (strict order equality needs one engine)
                         engine: PeelEngine::Serial,
                         threads: 2,
-                        ..DecomposeOptions::default()
                     },
                 )
                 .expect("lazy");
@@ -576,7 +569,6 @@ mod tests {
                         backend: Backend::Materialized,
                         engine: PeelEngine::Serial,
                         threads: 2,
-                        ..DecomposeOptions::default()
                     },
                 )
                 .expect("materialized");
@@ -673,7 +665,6 @@ mod tests {
             backend,
             engine: PeelEngine::Frontier,
             threads: 2,
-            ..DecomposeOptions::default()
         };
         // FND now rides the frontier engine; only LCPS and the lazy
         // backend remain genuinely incompatible.

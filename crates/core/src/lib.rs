@@ -43,7 +43,6 @@ pub mod decompose;
 pub mod error;
 pub mod export;
 pub mod hierarchy;
-pub mod maintenance;
 pub mod peel;
 pub mod persist;
 pub mod plan;
@@ -63,9 +62,7 @@ pub use decompose::{
 };
 pub use error::CoreError;
 pub use hierarchy::{Hierarchy, HierarchyNode};
-pub use peel::{
-    peel, peel_parallel, peel_parallel_with, peel_with_sink, FrontierOptions, PeelSink, Peeling,
-};
+pub use peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling, PlainSink};
 pub use persist::PreparedIndex;
 pub use plan::Plan;
 pub use session::{Nucleus, NucleusBuilder, Prepared};
@@ -73,8 +70,8 @@ pub use session::{Nucleus, NucleusBuilder, Prepared};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::algo::fnd::{
-        build_hierarchy, fnd, fnd_classify, fnd_parallel, fnd_parallel_with, fnd_with_options,
-        FndClassified, FndOptions,
+        build_hierarchy, fnd, fnd_classify, fnd_parallel_with, fnd_with_options, FndClassified,
+        FndOptions,
     };
     pub use crate::algo::lcps::lcps;
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
@@ -85,18 +82,14 @@ pub mod prelude {
     };
     pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};
-    #[allow(deprecated)]
-    pub use crate::maintenance::DynamicCores;
-    pub use crate::peel::{
-        peel, peel_parallel, peel_parallel_with, peel_with_sink, FrontierOptions, PeelSink, Peeling,
-    };
+    pub use crate::peel::{peel, peel_with_sink, FrontierOptions, PeelSink, Peeling, PlainSink};
     pub use crate::persist::PreparedIndex;
     pub use crate::plan::Plan;
     pub use crate::report::{describe, nucleus_vertices, render_tree, summarize_nucleus};
     pub use crate::session::{Nucleus, NucleusBuilder, Prepared};
     pub use crate::space::{
-        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, MaterializedSpace, PeelBackend,
-        PeelCells, PeelSpace, TriangleSpace, VertexSpace, VertexTriangleSpace,
+        ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelCells, PeelSpace,
+        TriangleSpace, VertexSpace, VertexTriangleSpace,
     };
     pub use crate::weighted::{weighted_core_decomposition, weighted_core_numbers};
 }

@@ -1,6 +1,6 @@
 //! The peeling process (`Set-λ`, Algorithm 1 of the paper), in two
 //! engines: the classic sequential bucket-queue loop ([`peel`]) and a
-//! frontier-parallel variant ([`peel_parallel`]).
+//! frontier-parallel engine ([`peel_with_sink`]).
 //!
 //! # The frontier-round invariant
 //!
@@ -39,12 +39,12 @@
 //! On heavy-tailed (R-MAT-style) inputs, dense cores degenerate into
 //! long cascades of tiny frontiers, and per-round overhead (barrier,
 //! sort, work-estimate) outweighs the batching win. The engine is
-//! therefore hybrid, with two serial fallbacks keyed off
-//! [`FrontierOptions::serial_round_threshold`]:
+//! therefore hybrid, with two serial fallbacks:
 //!
-//! * A **mid-level** frontier falling below the threshold drains the
-//!   rest of its λ-level through a FIFO worklist over the same packed
-//!   cell words — each drained cell gets a fresh, unique round stamp at
+//! * A **mid-level** frontier with fewer than
+//!   [`FrontierOptions::serial_round_threshold`] cells drains the rest
+//!   of its λ-level through a FIFO worklist over the same packed cell
+//!   words — each drained cell gets a fresh, unique round stamp at
 //!   discovery, so the stamp order stays a total processed-before order
 //!   and every invariant above carries over unchanged.
 //! * A λ-level whose **opening** frontier holds less than [an eighth]
@@ -52,16 +52,16 @@
 //!   the peel is a long ladder of small levels, where both the rounds
 //!   *and* the per-level `alive` compaction scan (O(alive) per level)
 //!   cost more than the serial loop. The engine then abandons rounds
-//!   entirely and **drains the whole residual** through the same
-//!   bucket queue the serial engine uses — on R-MAT-style inputs this
-//!   fires on the very first level (which opens with ~10% of cells,
-//!   vs. 74–99% for ER/BA), while wide-opening inputs never trigger it
-//!   and keep the full frontier win. When the *first* level already
-//!   opens that narrow, non-classifying sinks (the plain peel) don't
-//!   even build the engine's per-cell state: the first frontier's size
-//!   falls out of the initial degree-partition scan, and the run is
-//!   handed to the serial engine wholesale, making the heavy-tail worst
-//!   case cost within a few percent of [`peel`] itself.
+//!   entirely and **drains the whole residual** through the bucket
+//!   queue the serial engine uses — on R-MAT-style inputs this fires on
+//!   the very first level (which opens with ~10% of cells, vs. 74–99%
+//!   for ER/BA), while wide-opening inputs never trigger it and keep
+//!   the full frontier win. When the *first* level already opens that
+//!   narrow, non-classifying sinks ([`PlainSink`]) don't even build the
+//!   engine's per-cell state: the first frontier's size falls out of
+//!   the initial degree-partition scan, and the run is handed to the
+//!   serial engine wholesale, making the heavy-tail worst case cost
+//!   within a few percent of [`peel`] itself.
 //!
 //! Both decisions depend only on frontier sizes, never thread timing,
 //! so determinism across thread counts is preserved.
@@ -72,8 +72,8 @@
 //!
 //! The driver is generic over a [`PeelSink`]: per peeled cell it hands
 //! the sink the container scan, with `(stamp, id)` lexicographic order
-//! (the emission order) as the processed-before relation. The plain
-//! sink reproduces `Set-λ` decrements; FND
+//! (the emission order) as the processed-before relation. [`PlainSink`]
+//! reproduces `Set-λ` decrements; FND
 //! ([`crate::algo::fnd::fnd_parallel_with`]) plugs in a classifying
 //! sink that additionally unions same-λ cells through a lock-free
 //! [`nucleus_dsf::ConcurrentSets`] and records cross-λ adjacencies —
@@ -84,13 +84,11 @@
 //! serial engine's.
 //!
 //! The frontier engine assumes container enumeration is cheap enough to
-//! repeat per round participant — run it over a
-//! [`crate::space::MaterializedSpace`] (flat [`ContainerIndex`] scans),
+//! repeat per round participant — run it over an
+//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans),
 //! which is how [`crate::decompose::PeelEngine::Frontier`] wires it.
 //!
 //! [`ContainerIndex`]: crate::space::ContainerIndex
-
-use std::cell::Cell;
 
 use nucleus_cliques::balanced_ranges;
 use nucleus_graph::bucket::PeelBuckets;
@@ -187,7 +185,7 @@ fn peel_serial_with_degrees<B: PeelBackend>(space: &B, degrees: Vec<u32>) -> Pee
     }
 }
 
-/// Tuning for [`peel_parallel_with`].
+/// Tuning for [`peel_with_sink`].
 #[derive(Clone, Copy, Debug)]
 pub struct FrontierOptions {
     /// Worker threads for frontier rounds. `0` means "all available
@@ -203,13 +201,12 @@ pub struct FrontierOptions {
     /// than this, the rest of its λ-level drains through a serial FIFO
     /// worklist instead of parallel rounds (see the module docs) —
     /// tiny-frontier cascades cost more in round overhead than they
-    /// gain in batching. `0` disables the hybrid fallbacks entirely
-    /// (pure frontier rounds), including the whole-residual switch on
-    /// narrow *level openings* ([`RESIDUAL_OPENING_FRACTION`]), which
-    /// is otherwise relative to the remaining cell count rather than
-    /// sized by this threshold. The default (64) is sized so the
-    /// drained levels are the ones whose whole cascade is cheaper than
-    /// one round's sort-and-restamp machinery.
+    /// gain in batching. The default (64) is sized so the drained
+    /// levels are the ones whose whole cascade is cheaper than one
+    /// round's sort-and-restamp machinery. Like `min_parallel_work`,
+    /// this is an engine-level seam for tests and benches (`1` never
+    /// drains a level, `usize::MAX` always does); it has no effect on
+    /// the whole-residual switch ([`RESIDUAL_OPENING_FRACTION`]).
     pub serial_round_threshold: usize,
 }
 
@@ -218,7 +215,7 @@ impl Default for FrontierOptions {
         FrontierOptions {
             threads: 0,
             min_parallel_work: 1 << 14,
-            serial_round_threshold: Self::DEFAULT_SERIAL_ROUND_THRESHOLD,
+            serial_round_threshold: 64,
         }
     }
 }
@@ -233,56 +230,14 @@ impl Default for FrontierOptions {
 /// size that scales poorly across graph sizes.
 pub const RESIDUAL_OPENING_FRACTION: usize = 8;
 
-impl FrontierOptions {
-    /// Default [`FrontierOptions::serial_round_threshold`], shared with
-    /// [`crate::decompose::DecomposeOptions`] and the CLI flag default.
-    pub const DEFAULT_SERIAL_ROUND_THRESHOLD: usize = 64;
-
-    /// The thread count with `0` resolved to the CPU count.
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
+/// A worker-thread count with `0` resolved to the CPU count — the one
+/// place every `threads` knob of this crate is resolved.
+pub(crate) fn effective_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
-}
-
-/// Frontier-parallel `Set-λ` with default tuning — see the module docs
-/// for the round scheme and the invariant that keeps DFT valid on the
-/// resulting order. Produces the same λ values as [`peel`] and a
-/// λ-monotone order that is deterministic across thread counts (the
-/// order differs from the serial engine's within λ levels: rounds emit
-/// in ascending cell id, the bucket queue in counting-sort position).
-///
-/// `threads = 0` uses every available CPU. Drive it through a
-/// [`crate::space::MaterializedSpace`] so each round's container scans
-/// are flat-array reads:
-///
-/// ```
-/// use nucleus_core::peel::{peel, peel_parallel};
-/// use nucleus_core::space::{MaterializedSpace, VertexSpace};
-/// use nucleus_graph::CsrGraph;
-///
-/// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-/// let vs = VertexSpace::new(&g);
-/// let m = MaterializedSpace::new(&vs);
-/// let p = peel_parallel(&m, 2);
-/// assert_eq!(p.lambda, peel(&vs).lambda);
-/// ```
-pub fn peel_parallel<B: PeelBackend + Sync>(space: &B, threads: usize) -> Peeling {
-    peel_parallel_with(
-        space,
-        FrontierOptions {
-            threads,
-            ..FrontierOptions::default()
-        },
-    )
-}
-
-/// [`peel_parallel`] with explicit [`FrontierOptions`].
-pub fn peel_parallel_with<B: PeelBackend + Sync>(space: &B, options: FrontierOptions) -> Peeling {
-    peel_with_sink(space, options, &mut PlainSink)
 }
 
 /// What a riding algorithm does with each peeled cell's containers.
@@ -306,9 +261,9 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
     /// anything else beyond the `dec` calls and `next` pushes). `true`
     /// for classifying sinks like FND. A sink may set this to `false`
     /// only if `scan_cell`'s entire observable effect is applying
-    /// container decrements — the whole-residual hybrid drain then
-    /// skips the sink and runs the serial engine's plain bucket loop,
-    /// with no stamp maintenance at all.
+    /// container decrements — a run whose first λ-level already opens
+    /// below the whole-residual threshold then skips the engine and
+    /// runs the serial [`peel`] outright.
     ///
     /// [`scan_cell`]: PeelSink::scan_cell
     const CLASSIFIES: bool = true;
@@ -324,7 +279,7 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
     /// saturating ω decrement and reports `true` when its target just
     /// dropped to `level` — such cells must be pushed to `next`.
     #[allow(clippy::too_many_arguments)] // internal seam: one impl per algorithm
-    fn scan_cell<D: Fn(u32) -> bool>(
+    fn scan_cell<D: FnMut(u32) -> bool>(
         &self,
         space: &B,
         cells: &PeelCells,
@@ -332,7 +287,7 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
         u: u32,
         level: u32,
         stamp: u32,
-        dec: &D,
+        dec: &mut D,
         next: &mut Vec<u32>,
         part: &mut Self::Part,
     );
@@ -341,8 +296,13 @@ pub trait PeelSink<B: PeelBackend + ?Sized>: Sync {
     fn absorb_part(&mut self, part: Self::Part);
 }
 
-/// The plain `Set-λ` sink: container decrements only, nothing kept.
-struct PlainSink;
+/// The plain `Set-λ` sink: container decrements only, nothing kept —
+/// [`peel_with_sink`] with this sink is the frontier-parallel [`peel`].
+/// Same λ values as the serial engine and a λ-monotone order that is
+/// deterministic across thread counts (the order differs from the
+/// serial engine's within λ levels: rounds emit in ascending cell id,
+/// the bucket queue in counting-sort position).
+pub struct PlainSink;
 
 impl<B: PeelBackend + ?Sized> PeelSink<B> for PlainSink {
     const CLASSIFIES: bool = false;
@@ -352,7 +312,7 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for PlainSink {
     fn new_part(&self) {}
 
     #[inline]
-    fn scan_cell<D: Fn(u32) -> bool>(
+    fn scan_cell<D: FnMut(u32) -> bool>(
         &self,
         space: &B,
         cells: &PeelCells,
@@ -360,7 +320,7 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for PlainSink {
         u: u32,
         _level: u32,
         stamp: u32,
-        dec: &D,
+        dec: &mut D,
         next: &mut Vec<u32>,
         _part: &mut (),
     ) {
@@ -385,16 +345,33 @@ impl<B: PeelBackend + ?Sized> PeelSink<B> for PlainSink {
     fn absorb_part(&mut self, _part: ()) {}
 }
 
-/// The engine core behind [`peel_parallel_with`] and
-/// [`crate::algo::fnd::fnd_parallel_with`]: frontier rounds plus the
-/// hybrid serial drain, generic over the per-cell [`PeelSink`].
+/// The frontier engine: λ-level rounds plus the hybrid serial drains,
+/// generic over the per-cell [`PeelSink`] — [`PlainSink`] for plain
+/// `Set-λ`, FND's classifying sink for
+/// [`crate::algo::fnd::fnd_parallel_with`]. See the module docs for
+/// the round scheme and the invariant that keeps DFT valid on the
+/// resulting order. Drive it through an [`crate::space::IndexedSpace`]
+/// so each round's container scans are flat-array reads:
+///
+/// ```
+/// use nucleus_core::peel::{peel, peel_with_sink, FrontierOptions, PlainSink};
+/// use nucleus_core::space::{ContainerIndex, IndexedSpace, VertexSpace};
+/// use nucleus_graph::CsrGraph;
+///
+/// let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+/// let vs = VertexSpace::new(&g);
+/// let index = ContainerIndex::build(&vs, 2);
+/// let opts = FrontierOptions { threads: 2, ..FrontierOptions::default() };
+/// let p = peel_with_sink(&IndexedSpace::new(&vs, &index), opts, &mut PlainSink);
+/// assert_eq!(p.lambda, peel(&vs).lambda);
+/// ```
 pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
     space: &B,
     options: FrontierOptions,
     sink: &mut S,
 ) -> Peeling {
     let n = space.cell_count();
-    let threads = options.effective_threads();
+    let threads = effective_threads(options.threads);
     let degrees = space.degrees();
     let mut lambda = vec![0u32; n];
     let mut order: Vec<u32> = Vec::with_capacity(n);
@@ -426,10 +403,7 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
             }
         }
     }
-    if !S::CLASSIFIES
-        && options.serial_round_threshold > 0
-        && first * RESIDUAL_OPENING_FRACTION < alive.len()
-    {
+    if !S::CLASSIFIES && first * RESIDUAL_OPENING_FRACTION < alive.len() {
         // The very first λ level already opens with less than a
         // [`RESIDUAL_OPENING_FRACTION`]th of the live cells: the whole
         // peel is heavy-tail, and every round the engine could run is on
@@ -473,9 +447,7 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
             k = min_above;
             continue;
         }
-        if options.serial_round_threshold > 0
-            && frontier.len() * RESIDUAL_OPENING_FRACTION < frontier.len() + alive.len()
-        {
+        if frontier.len() * RESIDUAL_OPENING_FRACTION < frontier.len() + alive.len() {
             // The level opens with a sliver of what remains: heavy-tail
             // regime. Finish the whole peel through the serial bucket
             // queue — no more level-opening scans, no more rounds. (A
@@ -503,8 +475,7 @@ pub fn peel_with_sink<B: PeelBackend + Sync, S: PeelSink<B>>(
         loop {
             order.extend_from_slice(&frontier);
             max_lambda = k;
-            if options.serial_round_threshold > 0 && frontier.len() < options.serial_round_threshold
-            {
+            if frontier.len() < options.serial_round_threshold {
                 // Hybrid fallback: this frontier (and whatever cascade
                 // it triggers) is too small for round machinery — drain
                 // the rest of the level serially. The drain stamps each
@@ -582,14 +553,14 @@ fn drain_level<B: PeelBackend + Sync, S: PeelSink<B>>(
     let mut next_stamp = round + 1;
     let mut part = sink.new_part();
     let mut next: Vec<u32> = Vec::new();
-    let dec = |v: u32| cells.dec_above(v, k);
+    let mut dec = |v: u32| cells.dec_above(v, k);
     while head < pending.len() {
         let u = pending[head];
         head += 1;
         let stamp = cells.stamp(u);
         next.clear();
         sink.scan_cell(
-            space, cells, lambda, u, k, stamp, &dec, &mut next, &mut part,
+            space, cells, lambda, u, k, stamp, &mut dec, &mut next, &mut part,
         );
         for &v in &next {
             cells.mark(v, next_stamp);
@@ -603,132 +574,23 @@ fn drain_level<B: PeelBackend + Sync, S: PeelSink<B>>(
     next_stamp
 }
 
-/// Batagelj–Zaversnik bucket queue over the *residual* subset of cells,
-/// used by the whole-residual hybrid drain. Same array layout and
-/// laziness invariant as [`PeelBuckets`], with two differences that
-/// matter at the switch point: it is built from a member list —
-/// O(members) queue work plus two zero-filled n-sized arrays, instead
-/// of O(n) queue operations over every already-peeled cell — and every
-/// method takes `&self` (`Cell` fields: zero-cost single-threaded
-/// interior mutability), so the sink-facing `dec` closure can drive it
-/// without a `RefCell` turnstile in the hottest loop of the peel.
-///
-/// Keys of non-members read as 0; since every member enters with
-/// ω > floor ≥ 0, the caller-side `key > floor` guard makes non-member
-/// decrements (co-cells of the seed frontier) a natural no-op.
-struct ResidualBuckets {
-    bin: Vec<Cell<usize>>,
-    pos: Vec<Cell<usize>>,
-    vert: Vec<Cell<u32>>,
-    key: Vec<Cell<u32>>,
-    cursor: Cell<usize>,
-    floor: Cell<u32>,
-}
-
-impl ResidualBuckets {
-    /// Builds the queue over `members` (current ω read from `cells`),
-    /// with the λ level `floor` the drain enters at (debug-checked
-    /// against pops and decrements, like [`PeelBuckets`]' floor).
-    fn new(n: usize, members: &[u32], cells: &PeelCells, floor: u32) -> Self {
-        let mut key = vec![0u32; n];
-        let mut max_key = 0u32;
-        for &u in members {
-            let w = cells.load(u).1;
-            key[u as usize] = w;
-            max_key = max_key.max(w);
-        }
-        let mut bin = vec![0usize; max_key as usize + 2];
-        for &u in members {
-            bin[key[u as usize] as usize + 1] += 1;
-        }
-        for d in 1..bin.len() {
-            bin[d] += bin[d - 1];
-        }
-        let mut vert = vec![0u32; members.len()];
-        let mut pos = vec![0usize; n];
-        let mut fill = bin.clone();
-        for &u in members {
-            let d = key[u as usize] as usize;
-            vert[fill[d]] = u;
-            pos[u as usize] = fill[d];
-            fill[d] += 1;
-        }
-        ResidualBuckets {
-            bin: bin.into_iter().map(Cell::new).collect(),
-            pos: pos.into_iter().map(Cell::new).collect(),
-            vert: vert.into_iter().map(Cell::new).collect(),
-            key: key.into_iter().map(Cell::new).collect(),
-            cursor: Cell::new(0),
-            floor: Cell::new(floor),
-        }
-    }
-
-    /// Current key of `x` (0 for non-members).
-    #[inline]
-    fn key(&self, x: u32) -> u32 {
-        self.key[x as usize].get()
-    }
-
-    /// Pops a member with the minimum current key; keys of successive
-    /// pops are non-decreasing.
-    fn pop_min(&self) -> Option<(u32, u32)> {
-        let c = self.cursor.get();
-        if c >= self.vert.len() {
-            return None;
-        }
-        let x = self.vert[c].get();
-        let k = self.key[x as usize].get();
-        debug_assert!(k >= self.floor.get(), "residual keys regressed");
-        self.floor.set(k);
-        self.cursor.set(c + 1);
-        Some((x, k))
-    }
-
-    /// Decrements the key of an unpopped member by one; caller must
-    /// hold the `key(x) > floor` peeling guard.
-    #[inline]
-    fn decrement(&self, x: u32) {
-        let xi = x as usize;
-        let d = self.key[xi].get() as usize;
-        debug_assert!(
-            self.key[xi].get() > self.floor.get(),
-            "decrement would drop key below peeling floor"
-        );
-        let p = self.pos[xi].get();
-        let start = self.bin[d].get().max(self.cursor.get());
-        debug_assert_eq!(
-            self.key[self.vert[start].get() as usize].get(),
-            self.key[xi].get()
-        );
-        let w = self.vert[start].get();
-        if w != x {
-            self.vert[p].set(w);
-            self.vert[start].set(x);
-            self.pos[w as usize].set(p);
-            self.pos[xi].set(start);
-        }
-        self.bin[d].set(start + 1);
-        self.key[xi].set(self.key[xi].get() - 1);
-    }
-}
-
 /// Serially exhausts **everything that is left**: processes the
 /// (already stamped, ascending-id) `seed` frontier of level `k`, then
-/// pops the remaining `alive` cells from a [`ResidualBuckets`] queue in
-/// λ-monotone order — the serial engine's loop, entered mid-peel.
+/// pops the remaining `alive` cells from a subset [`PeelBuckets`] queue
+/// in λ-monotone order — the serial engine's loop, entered mid-peel.
 /// Invoked when a λ-level opens with less than a
 /// [`RESIDUAL_OPENING_FRACTION`]th of the remaining cells: from that
 /// point on, the per-level `alive` compaction scan (O(alive) per level)
 /// costs more than every remaining frontier is worth, so one
 /// O(residual) queue build replaces all of them.
 ///
-/// Sinks that classify ([`PeelSink::CLASSIFIES`]) get the generic loop:
-/// each pop is stamped with a fresh, unique round before its container
+/// Each pop is stamped with a fresh, unique round before its container
 /// scan, so `(stamp, id)` remains a total processed-before order and
 /// the sink contract is identical to [`drain_level`]'s (the packed ω
 /// halves go stale — the queue keys schedule the pops — but no sink
-/// reads ω, only stamps). The plain sink instead takes
-/// [`drain_residual_plain`], which is bit-for-bit the serial engine.
+/// reads ω, only stamps). The queue's keys of non-members read as 0,
+/// below every floor `k ≥ 1` the drain runs at, so the `key > floor`
+/// guard makes decrements of already-peeled co-cells a no-op.
 #[allow(clippy::too_many_arguments)] // internal: single call site
 fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     space: &B,
@@ -742,42 +604,29 @@ fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     round: u32,
     sink: &mut S,
 ) {
-    let n = lambda.len();
-    if !S::CLASSIFIES {
-        drain_residual_plain(space, cells, lambda, order, max_lambda, seed, alive, k);
-        return;
-    }
-    let q = ResidualBuckets::new(n, alive, cells, k);
-    let floor = Cell::new(k);
-    let dec = |v: u32| {
-        if q.key(v) > floor.get() {
-            q.decrement(v);
-            q.key(v) == floor.get()
-        } else {
-            false
-        }
-    };
+    let mut q = PeelBuckets::over_subset(lambda.len(), alive, |u| cells.load(u).1, k);
     let mut part = sink.new_part();
     let mut next: Vec<u32> = Vec::new();
     // The seed frontier shares the stamp `round` and is already in
-    // `order`; process it FIFO in ascending id, like a shared-stamp
-    // round. Cells its cascade drags down to k wait in bucket k and
-    // come back out of the queue first (pops are λ-monotone).
+    // `order`; process it in ascending id, like a shared-stamp round.
+    // Cells its cascade drags down to k wait in bucket k and come back
+    // out of the queue first (pops are λ-monotone).
     for &u in seed {
+        let mut dec = |v: u32| guarded_decrement(&mut q, v, k);
         sink.scan_cell(
-            space, cells, lambda, u, k, round, &dec, &mut next, &mut part,
+            space, cells, lambda, u, k, round, &mut dec, &mut next, &mut part,
         );
         next.clear();
     }
     let mut next_stamp = round + 1;
     while let Some((u, ku)) = q.pop_min() {
-        floor.set(ku);
         cells.mark(u, next_stamp);
         lambda[u as usize] = ku;
-        *max_lambda = (*max_lambda).max(ku);
+        *max_lambda = ku;
         order.push(u);
+        let mut dec = |v: u32| guarded_decrement(&mut q, v, ku);
         sink.scan_cell(
-            space, cells, lambda, u, ku, next_stamp, &dec, &mut next, &mut part,
+            space, cells, lambda, u, ku, next_stamp, &mut dec, &mut next, &mut part,
         );
         next.clear();
         next_stamp += 1;
@@ -785,65 +634,16 @@ fn drain_residual<B: PeelBackend + Sync, S: PeelSink<B>>(
     sink.absorb_part(part);
 }
 
-/// [`drain_residual`] for the plain sink: the serial engine's exact
-/// loop — popped-bitmap dead-container checks, bucket-queue decrements,
-/// no stamp maintenance (nothing reads stamps once the plain peel is
-/// over). A subset [`PeelBuckets`] starts with every non-residual cell
-/// already popped, then the seeds mark themselves popped in ascending
-/// id before scanning — which encodes precisely the `(stamp, id)`
-/// processed-before relation the stamped engines use. Unlike
-/// [`ResidualBuckets`] this queue is driven through `&mut` (the plain
-/// path needs no interior mutability), which is worth ~20% on the
-/// drain: exclusive access lets the compiler keep the queue's cursors
-/// out of memory in the decrement-heavy inner loop.
-#[allow(clippy::too_many_arguments)] // internal: single call site
-fn drain_residual_plain<B: PeelBackend + Sync>(
-    space: &B,
-    cells: &PeelCells,
-    lambda: &mut [u32],
-    order: &mut Vec<u32>,
-    max_lambda: &mut u32,
-    seed: &[u32],
-    alive: &[u32],
-    k: u32,
-) {
-    let n = lambda.len();
-    let mut q = PeelBuckets::over_subset(n, alive, |u| cells.load(u).1, k);
-    for &u in seed {
-        q.clear_popped(u);
+/// The `ω(v) > floor` peeling guard over the residual queue, with the
+/// sink's `dec` contract: `true` when `v` just dropped to `floor`.
+#[inline]
+fn guarded_decrement(q: &mut PeelBuckets, v: u32, floor: u32) -> bool {
+    if q.key(v) > floor {
+        q.decrement(v);
+        q.key(v) == floor
+    } else {
+        false
     }
-    for &u in seed {
-        q.mark_popped(u);
-        space.for_each_container(u, |others| {
-            if others.iter().any(|&v| q.is_popped(v)) {
-                return;
-            }
-            for &v in others {
-                if q.key(v) > k {
-                    q.decrement(v);
-                }
-            }
-        });
-    }
-    let mut ord = std::mem::take(order);
-    let mut ml = *max_lambda;
-    while let Some((u, ku)) = q.pop_min() {
-        lambda[u as usize] = ku;
-        ml = ml.max(ku);
-        ord.push(u);
-        space.for_each_container(u, |others| {
-            if others.iter().any(|&v| q.is_popped(v)) {
-                return;
-            }
-            for &v in others {
-                if q.key(v) > ku {
-                    q.decrement(v);
-                }
-            }
-        });
-    }
-    *order = ord;
-    *max_lambda = ml;
 }
 
 /// Applies one round's container decrements, appending the cells whose
@@ -870,10 +670,10 @@ fn frontier_round<B: PeelBackend + Sync, S: PeelSink<B>>(
         // Inline fast path: same packed storage, but single-writer
         // decrements (relaxed load + store compile to plain moves — no
         // compare-exchange in the single-threaded engine).
-        let dec = |v: u32| cells.dec_above(v, k);
+        let mut dec = |v: u32| cells.dec_above(v, k);
         let mut part = sink.new_part();
         for &u in frontier {
-            sink.scan_cell(space, cells, lambda, u, k, round, &dec, next, &mut part);
+            sink.scan_cell(space, cells, lambda, u, k, round, &mut dec, next, &mut part);
         }
         sink.absorb_part(part);
         return;
@@ -887,13 +687,14 @@ fn frontier_round<B: PeelBackend + Sync, S: PeelSink<B>>(
             .into_iter()
             .map(|range| {
                 let owned = &frontier[range];
-                let dec = &dec;
+                // each worker drives its own copy of the (Copy) closure
+                let mut dec = dec;
                 scope.spawn(move || {
                     let mut found = Vec::new();
                     let mut part = sink_ref.new_part();
                     for &u in owned {
                         sink_ref.scan_cell(
-                            space, cells, lambda, u, k, round, dec, &mut found, &mut part,
+                            space, cells, lambda, u, k, round, &mut dec, &mut found, &mut part,
                         );
                     }
                     (found, part)
@@ -1066,7 +867,7 @@ mod tests {
 
     /// λ from the frontier engine equals the serial engine on every
     /// space, at several thread counts, with the spawn path forced —
-    /// with the hybrid drain disabled, always-on, and on a mid-size
+    /// with level drains never taken, always taken, and on a mid-size
     /// threshold that mixes both per level.
     fn check_frontier_matches_serial(g: &CsrGraph) {
         let vs = VertexSpace::new(g);
@@ -1074,20 +875,21 @@ mod tests {
         let ts = TriangleSpace::new(g);
         fn check<S: crate::space::PeelSpace + Sync>(space: &S) {
             let serial = peel(space);
-            let m = crate::space::MaterializedSpace::new(space);
-            for serial_round_threshold in [0, 3, usize::MAX] {
+            let index = crate::space::ContainerIndex::build(space, 2);
+            let m = crate::space::IndexedSpace::new(space, &index);
+            for serial_round_threshold in [1, 3, usize::MAX] {
                 for threads in [1, 2, 8] {
                     let opts = FrontierOptions {
                         threads,
                         min_parallel_work: 0,
                         serial_round_threshold,
                     };
-                    let par = peel_parallel_with(space, opts);
+                    let par = peel_with_sink(space, opts, &mut PlainSink);
                     assert_eq!(
                         par.lambda, serial.lambda,
                         "lazy backend, {threads} threads, drain < {serial_round_threshold}"
                     );
-                    let par_m = peel_parallel_with(&m, opts);
+                    let par_m = peel_with_sink(&m, opts, &mut PlainSink);
                     assert_eq!(
                         par_m.lambda, serial.lambda,
                         "materialized, {threads} threads, drain < {serial_round_threshold}"
@@ -1112,6 +914,15 @@ mod tests {
         check(&ts);
     }
 
+    /// The frontier engine with default tuning at `threads` workers.
+    fn frontier(space: &VertexSpace, threads: usize) -> Peeling {
+        let opts = FrontierOptions {
+            threads,
+            ..FrontierOptions::default()
+        };
+        peel_with_sink(space, opts, &mut PlainSink)
+    }
+
     #[test]
     fn frontier_engine_matches_serial_on_clique_and_mixed() {
         check_frontier_matches_serial(&complete(7));
@@ -1134,12 +945,12 @@ mod tests {
     #[test]
     fn frontier_engine_on_empty_and_isolated() {
         let g = CsrGraph::from_edges(0, &[]);
-        let p = peel_parallel(&VertexSpace::new(&g), 4);
+        let p = frontier(&VertexSpace::new(&g), 4);
         assert_eq!(p.cell_count(), 0);
         assert_eq!(p.max_lambda, 0);
 
         let g = CsrGraph::from_edges(4, &[(0, 1)]);
-        let p = peel_parallel(&VertexSpace::new(&g), 2);
+        let p = frontier(&VertexSpace::new(&g), 2);
         assert_eq!(p.lambda, vec![1, 1, 0, 0]);
         // isolated cells are emitted first (λ = 0 level precedes λ = 1)
         assert_eq!(&p.order[..2], &[2, 3]);
@@ -1149,7 +960,7 @@ mod tests {
     fn frontier_order_is_ascending_within_rounds() {
         // K5: one frontier containing everything, emitted in id order.
         let g = complete(5);
-        let p = peel_parallel(&VertexSpace::new(&g), 2);
+        let p = frontier(&VertexSpace::new(&g), 2);
         assert_eq!(p.order, vec![0, 1, 2, 3, 4]);
         assert!(p.lambda.iter().all(|&l| l == 4));
     }

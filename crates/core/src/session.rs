@@ -63,7 +63,7 @@ use crate::decompose::{
     SkeletonStats,
 };
 use crate::error::CoreError;
-use crate::peel::{peel, peel_parallel_with, FrontierOptions};
+use crate::peel::{peel, peel_with_sink, FrontierOptions, PlainSink};
 use crate::plan::{self, format_bytes, Plan};
 use crate::space::{
     ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
@@ -172,15 +172,6 @@ impl<'g> NucleusBuilder<'g> {
         self
     }
 
-    /// Sets the hybrid-round threshold for the frontier engine: λ-levels
-    /// whose opening frontier has fewer cells than this drain serially
-    /// (default [`FrontierOptions::DEFAULT_SERIAL_ROUND_THRESHOLD`];
-    /// `0` disables the hybrid drain entirely).
-    pub fn frontier_serial_below(mut self, cells: usize) -> Self {
-        self.options.frontier_serial_below = cells;
-        self
-    }
-
     /// Applies a whole [`DecomposeOptions`] at once (keeps the kind).
     pub fn options(mut self, options: DecomposeOptions) -> Self {
         self.options = options;
@@ -236,7 +227,6 @@ impl<'g> NucleusBuilder<'g> {
             },
             engine: options.engine,
             threads,
-            frontier_serial_below: options.frontier_serial_below,
             space,
             index,
             cells,
@@ -314,7 +304,6 @@ impl<'g> NucleusBuilder<'g> {
             backend: Backend::Materialized,
             engine: options.engine,
             threads,
-            frontier_serial_below: options.frontier_serial_below,
             space,
             index: Some(container_index),
             cells,
@@ -368,9 +357,6 @@ pub struct Prepared<'g> {
     /// because it depends on the algorithm.
     engine: PeelEngine,
     threads: usize,
-    /// Hybrid-round threshold handed to every frontier-engine run
-    /// (see [`FrontierOptions::serial_round_threshold`]).
-    frontier_serial_below: usize,
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
     cells: usize,
@@ -465,11 +451,10 @@ impl<'g> Prepared<'g> {
         let materialized = self.index.is_some();
         // Whenever the run will actually use the frontier engine, the
         // reason also reports the hybrid-round policy it runs under.
-        let hybrid = if self.frontier_serial_below > 0 {
-            format!("hybrid, serial below {}", self.frontier_serial_below)
-        } else {
-            "hybrid drain disabled".to_string()
-        };
+        let hybrid = format!(
+            "hybrid, serial below {}",
+            FrontierOptions::default().serial_round_threshold
+        );
         let engine_reason = match self.engine {
             PeelEngine::Serial => "explicitly requested".to_string(),
             PeelEngine::Frontier => format!("explicitly requested ({hybrid})"),
@@ -567,6 +552,14 @@ impl<'g> Prepared<'g> {
         }
     }
 
+    /// Frontier-engine tuning for this session's runs.
+    fn frontier_options(&self) -> FrontierOptions {
+        FrontierOptions {
+            threads: self.threads,
+            ..FrontierOptions::default()
+        }
+    }
+
     /// The algorithm dispatch, monomorphized per space *and* backend —
     /// the exact hot path the pre-session `decompose_with` ran, now fed
     /// from the cached space. `engine` is already resolved (never
@@ -583,15 +576,9 @@ impl<'g> Prepared<'g> {
             Algorithm::Lcps => unreachable!("LCPS never reaches backend dispatch"),
             Algorithm::Fnd => {
                 let out = match engine {
-                    PeelEngine::Frontier => fnd_parallel_with(
-                        space,
-                        FndOptions::default(),
-                        FrontierOptions {
-                            threads: self.threads,
-                            serial_round_threshold: self.frontier_serial_below,
-                            ..FrontierOptions::default()
-                        },
-                    ),
+                    PeelEngine::Frontier => {
+                        fnd_parallel_with(space, FndOptions::default(), self.frontier_options())
+                    }
                     _ => fnd(space),
                 };
                 Decomposition {
@@ -614,14 +601,9 @@ impl<'g> Prepared<'g> {
             Algorithm::Naive | Algorithm::Dft => {
                 let t0 = Instant::now();
                 let peeling = match engine {
-                    PeelEngine::Frontier => peel_parallel_with(
-                        space,
-                        FrontierOptions {
-                            threads: self.threads,
-                            serial_round_threshold: self.frontier_serial_below,
-                            ..FrontierOptions::default()
-                        },
-                    ),
+                    PeelEngine::Frontier => {
+                        peel_with_sink(space, self.frontier_options(), &mut PlainSink)
+                    }
                     _ => peel(space),
                 };
                 let peel_t = self.prep_time + t0.elapsed();

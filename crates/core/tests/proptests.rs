@@ -12,12 +12,12 @@ use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
 use nucleus_core::decompose::{
     decompose_with, Algorithm, Backend, DecomposeOptions, Kind, PeelEngine,
 };
-use nucleus_core::peel::{peel, peel_parallel_with, peel_reference, FrontierOptions};
+use nucleus_core::peel::{peel, peel_reference, peel_with_sink, FrontierOptions, PlainSink};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
 use nucleus_core::space::{
-    EdgeK4Space, EdgeSpace, MaterializedSpace, PeelBackend, PeelSpace, TriangleSpace, VertexSpace,
-    VertexTriangleSpace,
+    ContainerIndex, EdgeK4Space, EdgeSpace, IndexedSpace, PeelBackend, PeelSpace, TriangleSpace,
+    VertexSpace, VertexTriangleSpace,
 };
 use nucleus_core::validate::check_semantics;
 use nucleus_graph::CsrGraph;
@@ -136,7 +136,8 @@ fn check_space_agreement<S: PeelSpace>(space: &S) {
 /// hierarchies, for any space.
 fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
     for threads in [1, 3] {
-        let mat = MaterializedSpace::with_threads(space, threads);
+        let index = ContainerIndex::build(space, threads);
+        let mat = IndexedSpace::new(space, &index);
         assert_eq!(space.degrees(), mat.degrees(), "ω degrees");
         let lazy_peel = peel(space);
         let mat_peel = peel(&mat);
@@ -151,18 +152,19 @@ fn check_backend_equivalence<S: PeelSpace + Sync>(space: &S) {
 
 /// Pins the frontier-parallel engine to the serial one on any space, at
 /// 1, 2 and 8 threads with the spawn path forced (`min_parallel_work:
-/// 0`) and with the hybrid drain both disabled (`0`) and aggressive
+/// 0`) and with level drains both never taken (`1`) and aggressive
 /// (`3` — most rounds on these small graphs fall below it), checking
 /// everything downstream consumers rely on: identical λ, a λ-monotone
 /// permutation order that is identical across thread counts, and
 /// identical DFT *and* parallel-FND hierarchies built on top.
 fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     let serial = peel(space);
-    let mat = MaterializedSpace::with_threads(space, 2);
+    let index = ContainerIndex::build(space, 2);
+    let mat = IndexedSpace::new(space, &index);
     // thread-count-invariant references, computed once
     let (h_serial, _) = dft(&mat, &serial);
     let h_fnd = fnd(space).hierarchy;
-    for serial_round_threshold in [0usize, 3] {
+    for serial_round_threshold in [1usize, 3] {
         let mut orders: Vec<Vec<u32>> = vec![];
         for threads in [1usize, 2, 8] {
             let options = FrontierOptions {
@@ -171,7 +173,7 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
                 serial_round_threshold,
             };
             let label = format!("{threads} threads, drain below {serial_round_threshold}");
-            let par = peel_parallel_with(&mat, options);
+            let par = peel_with_sink(&mat, options, &mut PlainSink);
             assert_eq!(par.lambda, serial.lambda, "λ at {label}");
             assert_eq!(par.max_lambda, serial.max_lambda, "max λ");
             // the order is a λ-monotone permutation of all cells
@@ -221,7 +223,6 @@ fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
                 backend,
                 engine,
                 threads: 2,
-                ..DecomposeOptions::default()
             };
             let prepared = Nucleus::builder(g).kind(kind).options(options).prepare();
             for &algo in Algorithm::for_kind(kind) {
@@ -531,26 +532,6 @@ proptest! {
             }
         }
         prop_assert!(seen.iter().all(|&s| s == 1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn dynamic_cores_track_recompute(
-        n in 4u32..20,
-        ops in proptest::collection::vec((0u32..20, 0u32..20, prop::bool::ANY), 1..60),
-    ) {
-        let mut dc = nucleus_core::maintenance::DynamicCores::with_vertices(n as usize);
-        for (a, b, insert) in ops {
-            let (a, b) = (a % n, b % n);
-            if insert {
-                dc.insert_edge(a, b);
-            } else {
-                dc.remove_edge(a, b);
-            }
-            let g = dc.to_graph();
-            let expect = peel(&VertexSpace::new(&g)).lambda;
-            prop_assert_eq!(dc.core_numbers(), expect.as_slice());
-        }
     }
 
     #[test]

@@ -135,37 +135,6 @@ impl PeelBuckets {
         }
     }
 
-    /// Marks a non-member of a subset queue (see
-    /// [`PeelBuckets::over_subset`]) as popped without it ever having
-    /// been queued — how a mid-flight hand-off records the cells it
-    /// processed outside the queue, so [`PeelBuckets::is_popped`]
-    /// dead-checks see them.
-    #[inline]
-    pub fn mark_popped(&mut self, x: u32) {
-        // Members keep `vert[pos[x]] == x` for their whole life, and
-        // `vert` holds members only — so a non-member never matches.
-        debug_assert!(
-            self.is_popped(x) || self.vert.get(self.pos[x as usize]).is_none_or(|&v| v != x),
-            "mark_popped on a queued member {x}"
-        );
-        self.popped[x as usize / 64] |= 1 << (x % 64);
-    }
-
-    /// Clears the popped bit of a non-member of a subset queue: the
-    /// complement of [`PeelBuckets::mark_popped`] for cells whose
-    /// processing the caller is about to *replay* — they must start
-    /// unpopped so dead-container checks don't see them as done before
-    /// their replay turn, then [`PeelBuckets::mark_popped`] re-marks
-    /// each one as it is processed.
-    #[inline]
-    pub fn clear_popped(&mut self, x: u32) {
-        debug_assert!(
-            self.vert.get(self.pos[x as usize]).is_none_or(|&v| v != x),
-            "clear_popped on a queued member {x}"
-        );
-        self.popped[x as usize / 64] &= !(1u64 << (x % 64));
-    }
-
     /// Number of elements (popped or not).
     pub fn len(&self) -> usize {
         self.vert.len()

@@ -5,8 +5,6 @@
 
 use nucleus_hierarchy::core::algo::variants;
 use nucleus_hierarchy::core::analytics::skeleton_profile;
-#[allow(deprecated)]
-use nucleus_hierarchy::core::maintenance::DynamicCores;
 use nucleus_hierarchy::core::space::{EdgeK4Space, VertexTriangleSpace};
 use nucleus_hierarchy::core::weighted::weighted_core_decomposition;
 use nucleus_hierarchy::gen::{dataset, Scale};
@@ -29,27 +27,6 @@ fn weighted_decomposition_on_surrogate() {
             "vertex {v}: weighted core below unweighted"
         );
     }
-}
-
-// Keeps the deprecated shim honest: the legacy single-op surface must
-// stay consistent with the batch decomposition until it is removed.
-#[test]
-#[allow(deprecated)]
-fn dynamic_cores_replay_matches_batch() {
-    let g = dataset("uk2005-s", Scale::Small);
-    let mut dc = DynamicCores::with_vertices(g.n());
-    for (_, u, v) in g.edges() {
-        dc.insert_edge(u, v);
-    }
-    let expect = decompose(&g, Kind::Core, Algorithm::Fnd).unwrap();
-    let got: Vec<u32> = dc.core_numbers().to_vec();
-    assert_eq!(got, expect.peeling.lambda);
-    // and removal back to empty
-    for (_, u, v) in g.edges() {
-        assert!(dc.remove_edge(u, v));
-    }
-    assert!(dc.core_numbers().iter().all(|&l| l == 0));
-    assert_eq!(dc.m(), 0);
 }
 
 #[test]

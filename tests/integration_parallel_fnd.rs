@@ -1,8 +1,8 @@
 //! End-to-end parallel-FND flow through the CLI: `decompose --algo fnd
 //! --engine frontier` must produce the same hierarchy rendering as the
-//! serial engine on every peeling family, at every hybrid-drain
-//! setting, and `--explain` must name the frontier engine and its
-//! hybrid-round policy.
+//! serial engine on every peeling family, at one and two threads, and
+//! `--explain` must name the frontier engine and its hybrid-round
+//! policy.
 
 use std::path::PathBuf;
 
@@ -49,9 +49,9 @@ fn frontier_fnd_matches_serial_on_every_kind() {
         ])
         .unwrap();
         assert!(serial.contains("[serial]"), "{kind}: {serial}");
-        // hybrid drain disabled (0), aggressive (8) and default: all
-        // must agree with the serial hierarchy exactly
-        for threshold in ["0", "8", "256"] {
+        // one worker (inline rounds) and two: both must agree with the
+        // serial hierarchy exactly
+        for threads in ["1", "2"] {
             let frontier = cli(&[
                 "decompose",
                 "--input",
@@ -63,21 +63,19 @@ fn frontier_fnd_matches_serial_on_every_kind() {
                 "--engine",
                 "frontier",
                 "--threads",
-                "2",
-                "--frontier-serial-below",
-                threshold,
+                threads,
                 "--depth",
                 "4",
             ])
             .unwrap();
             assert!(
                 frontier.contains("[materialized][frontier]"),
-                "{kind}/{threshold}: {frontier}"
+                "{kind}/t{threads}: {frontier}"
             );
             assert_eq!(
                 body(&serial),
                 body(&frontier),
-                "{kind}/{threshold}: hierarchies diverge"
+                "{kind}/t{threads}: hierarchies diverge"
             );
         }
     }
@@ -102,47 +100,44 @@ fn explain_names_the_hybrid_round_policy() {
         "frontier",
         "--threads",
         "2",
-        "--frontier-serial-below",
-        "64",
         "--explain",
     ])
     .unwrap();
     assert!(explained.contains("plan:"), "{explained}");
     assert!(explained.contains("frontier"), "{explained}");
     assert!(explained.contains("hybrid, serial below 64"), "{explained}");
-
-    // disabling the drain is reported too
-    let explained = cli(&[
-        "decompose",
-        "--input",
-        graph_s,
-        "--kind",
-        "truss",
-        "--algo",
-        "fnd",
-        "--engine",
-        "frontier",
-        "--threads",
-        "2",
-        "--frontier-serial-below",
-        "0",
-        "--explain",
-    ])
-    .unwrap();
-    assert!(explained.contains("hybrid drain disabled"), "{explained}");
-
-    // a malformed threshold is a flag error, not a panic
-    let err = cli(&[
-        "decompose",
-        "--input",
-        graph_s,
-        "--kind",
-        "truss",
-        "--frontier-serial-below",
-        "many",
-    ])
-    .unwrap_err();
-    assert!(err.contains("frontier-serial-below"), "{err}");
-
     std::fs::remove_file(&graph).ok();
+}
+
+/// FND's |T*| depends on the engine although the hierarchy does not:
+/// the serial loop counts the sub-nuclei Alg. 8 creates, which depends
+/// on the processing order; the frontier engine counts same-λ
+/// components, which are DFT's maximal sub-nuclei |T|.
+#[test]
+fn fnd_subnuclei_count_depends_on_the_engine() {
+    use nucleus_core::{Algorithm, Kind, Nucleus, PeelEngine};
+    let g = nucleus_gen::rmat::rmat(9, 8, nucleus_gen::rmat::RmatParams::skewed(), 1);
+    for kind in Kind::all() {
+        let run = |engine, algo| {
+            Nucleus::builder(&g)
+                .kind(kind)
+                .engine(engine)
+                .threads(2)
+                .prepare()
+                .unwrap()
+                .run(algo)
+                .unwrap()
+        };
+        let serial = run(PeelEngine::Serial, Algorithm::Fnd);
+        let frontier = run(PeelEngine::Frontier, Algorithm::Fnd);
+        let dft = run(PeelEngine::Serial, Algorithm::Dft);
+        assert_eq!(serial.hierarchy, frontier.hierarchy, "{kind}");
+        assert!(
+            serial.stats.subnuclei >= frontier.stats.subnuclei,
+            "{kind}: serial |T*| {} < frontier {}",
+            serial.stats.subnuclei,
+            frontier.stats.subnuclei
+        );
+        assert_eq!(frontier.stats.subnuclei, dft.stats.subnuclei, "{kind}");
+    }
 }
