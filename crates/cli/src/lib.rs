@@ -24,7 +24,8 @@
 //!   locally or against a running server (`--connect`).
 //!
 //! Argument parsing is hand-rolled (no external CLI dependency): flags
-//! are `--name value` pairs, collected into [`Args`].
+//! are `--name value` pairs, collected into [`Args`]. Each command
+//! accepts only its own flags; any other flag is an error naming it.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -105,17 +106,17 @@ USAGE:
                     --kind <core|vertex-triangle|truss|edge-k4|nucleus34>
                            (or the (r,s) pair: 1,2 | 1,3 | 2,3 | 2,4 | 3,4)
                     [--index INDEX] [--algo <naive|dft|fnd|lcps>]
-                    [--backend <auto|lazy|materialized>]
-                    [--engine <auto|serial|frontier>] [--threads N] [--explain]
-                    [--json FILE] [--dot FILE] [--depth N]
+                    [--backend <auto|lazy|materialized>] [--threads N]
+                    [--explain] [--json FILE] [--dot FILE] [--depth N]
   nucleus stats     --input FILE
   nucleus update    --input FILE --ops OPS
                     [--kind KIND] [--batch N] [--out FILE]
                     [--json FILE] [--verify]
   nucleus serve     --graph FILE [--index INDEX | --kind KIND]
                     [--mutable] [--port P] [--workers N] [--algo A]
-                    [--timeout-ms MS] [--max-line-bytes B]
+                    [--timeout-ms MS] [--max-line-bytes B] [--queue-depth D]
                     [--signal-file FILE] [--addr-file FILE] [--threads N]
+                    [--bind ADDR]
   nucleus query     --input FILE --u U --v V --k K        (k-truss edge lookup)
   nucleus query     --type <lambda|nuclei-of|members|subtree|density|
                             densest|level-profile|stats>
@@ -123,13 +124,18 @@ USAGE:
                     ( --input FILE [--index INDEX | --kind KIND]
                     | --connect HOST:PORT )
 
-generate flags: --n N --m M --p P --seed S --blocks B --block-size Z
+generate flags: --n N --m M --p P --k K --scale S --seed S --count C
+                --blocks B --block-size Z --p-in P --p-out P
 examples:
   nucleus generate --model ba --n 10000 --m 5 --out web.txt
   nucleus decompose --input web.txt --kind truss --algo fnd --depth 3
   nucleus decompose --input web.txt --kind 2,4 --explain
   nucleus prepare   --input web.txt --kind truss --out web.truss.nidx
   nucleus decompose --input web.txt --index web.truss.nidx --algo dft
+
+The peeling engine follows from the run: frontier-parallel when the
+backend is materialized and --threads is above 1 (0, the default, means
+every CPU), serial otherwise. Both give the same hierarchy.
 
 With --index, --kind is optional (the index file stores the family) and
 must agree with the file when given; the index is rejected if the graph
@@ -154,20 +160,50 @@ counter is surfaced in `stats`.
 /// Runs the CLI; returns the process exit code.
 pub fn run<W: Write>(argv: Vec<String>, out: &mut W) -> Result<(), String> {
     let args = Args::parse(argv)?;
-    match args.command.as_str() {
-        "generate" => cmd_generate(&args, out),
-        "prepare" => cmd_prepare(&args, out),
-        "decompose" => cmd_decompose(&args, out),
-        "stats" => cmd_stats(&args, out),
-        "update" => cmd_update(&args, out),
-        "serve" => cmd_serve(&args, out),
-        "query" => cmd_query(&args, out),
+    type Command<W> = fn(&Args, &mut W) -> Result<(), String>;
+    // Each command with the flags it accepts.
+    let (command, flags): (Command<W>, &str) = match args.command.as_str() {
+        "generate" => (
+            cmd_generate,
+            "model out seed n m p k scale count blocks block-size p-in p-out",
+        ),
+        "prepare" => (cmd_prepare, "input kind out threads"),
+        "decompose" => (
+            cmd_decompose,
+            "input kind index algo backend threads explain json dot depth",
+        ),
+        "stats" => (cmd_stats, "input"),
+        "update" => (cmd_update, "input ops kind batch out json verify"),
+        "serve" => (
+            cmd_serve,
+            "graph input index kind mutable port bind workers algo timeout-ms max-line-bytes \
+             queue-depth signal-file addr-file threads",
+        ),
+        "query" => (
+            cmd_query,
+            "input index kind threads u v k type request connect cell node limit algo id",
+        ),
         "" | "help" | "--help" | "-h" => {
             let _ = write!(out, "{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        other => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    };
+    // Before any work, so a misspelled or removed flag never runs with
+    // its default silently.
+    let unknown = args
+        .flags
+        .keys()
+        .filter(|f| !flags.split_whitespace().any(|known| known == f.as_str()))
+        .min();
+    if let Some(flag) = unknown {
+        return Err(format!(
+            "unknown flag --{flag} for `{}` (accepted: --{})",
+            args.command,
+            flags.split_whitespace().collect::<Vec<_>>().join(", --")
+        ));
     }
+    command(&args, out)
 }
 
 fn load_graph(args: &Args) -> Result<CsrGraph, String> {
@@ -229,10 +265,6 @@ fn parse_algo(s: &str) -> Result<Algorithm, String> {
     Algorithm::parse(s).map_err(|e| e.to_string())
 }
 
-fn parse_engine(s: &str) -> Result<PeelEngine, String> {
-    PeelEngine::parse(s).map_err(|e| e.to_string())
-}
-
 fn parse_backend(s: &str) -> Result<Backend, String> {
     Backend::parse(s).map_err(|e| e.to_string())
 }
@@ -264,7 +296,6 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let g = load_graph(args)?;
     let algo = parse_algo(args.get_or("algo", "fnd"))?;
     let backend = parse_backend(args.get_or("backend", "auto"))?;
-    let engine = parse_engine(args.get_or("engine", "auto"))?;
     let threads = args.num("threads", 0usize)?;
     let prepared = if let Some(index_path) = args.flags.get("index") {
         let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;
@@ -281,24 +312,20 @@ fn cmd_decompose<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
                 ));
             }
         }
-        nucleus_core::plan::validate(index.kind(), algo, Backend::Materialized, engine)
-            .map_err(|e| e.to_string())?;
+        nucleus_core::plan::validate(index.kind(), algo).map_err(|e| e.to_string())?;
         Nucleus::builder(&g)
             .backend(backend)
-            .engine(engine)
             .threads(threads)
             .prepare_from_index(index)
             .map_err(|e| e.to_string())?
     } else {
         let kind = parse_kind(args.need("kind")?)?;
-        // Reject contradictory combinations before `prepare` spends time
-        // on clique enumeration / index construction the run could never
-        // use.
-        nucleus_core::plan::validate(kind, algo, backend, engine).map_err(|e| e.to_string())?;
+        // Reject LCPS × non-core before `prepare` spends time on clique
+        // enumeration / index construction the run could never use.
+        nucleus_core::plan::validate(kind, algo).map_err(|e| e.to_string())?;
         Nucleus::builder(&g)
             .kind(kind)
             .backend(backend)
-            .engine(engine)
             .threads(threads)
             .prepare()
             .map_err(|e| e.to_string())?
@@ -774,104 +801,74 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The engine follows from the backend and `--threads`: one
+    /// thread peels serially, two ride the frontier engine, with the
+    /// same hierarchy.
     #[test]
     fn decompose_engine_flags() {
         let path = tmp("engine.txt");
         run_to_string(&["generate", "--model", "karate", "--out", &path]).unwrap();
-        let serial = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "serial",
-        ])
-        .unwrap();
-        assert!(serial.contains("[serial]"), "got: {serial}");
-        let frontier = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "frontier",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(
-            frontier.contains("[materialized][frontier]"),
-            "got: {frontier}"
-        );
+        let decompose = |algo: &str, threads: &str| {
+            run_to_string(&[
+                "decompose",
+                "--input",
+                &path,
+                "--kind",
+                "truss",
+                "--algo",
+                algo,
+                "--threads",
+                threads,
+            ])
+            .unwrap()
+        };
+        let serial = decompose("dft", "1");
+        assert!(serial.contains("[materialized][serial]"), "got: {serial}");
         // identical hierarchies → identical renderings after the timing line
         let tree = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        assert_eq!(tree(&serial), tree(&frontier));
-        // FND rides the frontier engine too, producing the same
-        // hierarchy
-        let fnd_frontier = run_to_string(&[
+        for algo in ["dft", "fnd"] {
+            let frontier = decompose(algo, "2");
+            assert!(
+                frontier.contains("[materialized][frontier]"),
+                "{algo}: {frontier}"
+            );
+            assert_eq!(tree(&serial), tree(&frontier), "{algo}");
+        }
+        // a lazy run peels serially whatever the thread count
+        let lazy = run_to_string(&[
             "decompose",
             "--input",
             &path,
             "--kind",
             "truss",
-            "--algo",
-            "fnd",
-            "--engine",
-            "frontier",
+            "--backend",
+            "lazy",
             "--threads",
             "2",
         ])
         .unwrap();
-        assert!(
-            fnd_frontier.contains("[materialized][frontier]"),
-            "got: {fnd_frontier}"
-        );
-        assert_eq!(tree(&serial), tree(&fnd_frontier));
-        // incompatible combinations surface as CLI errors
-        let err = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "core",
-            "--algo",
-            "lcps",
-            "--engine",
-            "frontier",
-        ])
-        .unwrap_err();
-        assert!(err.contains("frontier"), "got: {err}");
-        let err = run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--algo",
-            "dft",
-            "--engine",
-            "frontier",
-            "--backend",
-            "lazy",
-        ])
-        .unwrap_err();
-        assert!(err.contains("materialized"), "got: {err}");
-        assert!(run_to_string(&[
-            "decompose",
-            "--input",
-            &path,
-            "--kind",
-            "truss",
-            "--engine",
-            "bogus",
-        ])
-        .is_err());
+        assert!(lazy.contains("[lazy][serial]"), "got: {lazy}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let path = tmp("flags.txt");
+        run_to_string(&["generate", "--model", "karate", "--out", &path]).unwrap();
+        for (flag, value) in [
+            ("--engine", "serial"),
+            ("--frontier-serial-below", "0"),
+            ("--thread", "2"),
+        ] {
+            let err =
+                run_to_string(&["decompose", "--input", &path, "--kind", "core", flag, value])
+                    .unwrap_err();
+            assert!(err.contains(flag), "{flag}: {err}");
+            assert!(err.contains("`decompose`"), "{flag}: {err}");
+        }
+        // a flag is checked against its own command's list
+        let err = run_to_string(&["stats", "--input", &path, "--kind", "core"]).unwrap_err();
+        assert!(err.contains("--kind") && err.contains("`stats`"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,9 +1,8 @@
 //! The one-shot decomposition API: pick a family and an algorithm, get
 //! a hierarchy plus phase timings and statistics.
 //!
-//! Since the prepared-pipeline redesign, [`decompose`] and
-//! [`decompose_with`] are thin wrappers over
-//! [`crate::session::Nucleus`]: they prepare a space, run once, and
+//! [`decompose`] and [`hypo_baseline`] are default-option shorthands
+//! over [`crate::session::Nucleus`]: they prepare a space, run once, and
 //! drop it. Callers that run *several* algorithms (or repeated queries)
 //! over one graph should hold a [`crate::session::Prepared`] instead —
 //! same results, bit for bit, without re-enumerating cliques and
@@ -234,79 +233,24 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Which peeling engine runs `Set-λ` (see [`mod@crate::peel`] for the
-/// frontier-round scheme and its invariants).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// Which peeling engine ran `Set-λ` (see [`mod@crate::peel`] for the
+/// frontier-round scheme and its invariants). A run does not choose it:
+/// a session uses [`PeelEngine::Frontier`] exactly when the run is
+/// materialized, has more than one worker thread and the algorithm
+/// peels (Naive, DFT or FND), and [`PeelEngine::Serial`] otherwise. The
+/// engine changes only the speed and the peel order within a λ level,
+/// never λ or the hierarchy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PeelEngine {
     /// The classic sequential bucket-queue loop ([`crate::peel::peel`]).
     Serial,
     /// Frontier-parallel `Set-λ` ([`crate::peel::peel_with_sink`]) with
     /// hybrid serial drains for sub-threshold levels: whole λ-level
-    /// rounds, decrements applied concurrently. Requires the
-    /// materialized backend (selecting it with [`Backend::Auto`]
-    /// forces materialization regardless of the size cap; combining it
-    /// with an explicit [`Backend::Lazy`] is an error). Drives every
-    /// peeling-based algorithm — [`Algorithm::Naive`] and
-    /// [`Algorithm::Dft`] consume the finished peeling, and
+    /// rounds, decrements applied concurrently. [`Algorithm::Naive`]
+    /// and [`Algorithm::Dft`] consume the finished peeling, and
     /// [`Algorithm::Fnd`] classifies containers inside the rounds
-    /// ([`crate::algo::fnd::fnd_parallel_with`]) — only
-    /// [`Algorithm::Lcps`] rejects it (it walks the graph directly and
-    /// never runs `Set-λ`).
+    /// ([`crate::algo::fnd::fnd_parallel_with`]).
     Frontier,
-    /// Pick automatically: `Frontier` when the run is materialized,
-    /// more than one worker thread is available and the algorithm runs
-    /// `Set-λ` at all (Naive, DFT, FND); `Serial` otherwise.
-    #[default]
-    Auto,
-}
-
-impl PeelEngine {
-    /// Whether the engine/algorithm pair is expressible at all — the
-    /// frontier engine drives everything that peels; only LCPS (which
-    /// never runs `Set-λ`) is out.
-    pub(crate) fn supports(self, algorithm: Algorithm) -> bool {
-        self != PeelEngine::Frontier || algorithm != Algorithm::Lcps
-    }
-
-    /// Resolves `Auto` for a concrete run. `materialized` is the
-    /// already-resolved backend decision.
-    pub(crate) fn resolve(
-        self,
-        algorithm: Algorithm,
-        materialized: bool,
-        threads: usize,
-    ) -> PeelEngine {
-        match self {
-            PeelEngine::Auto => {
-                if materialized
-                    && threads > 1
-                    && matches!(
-                        algorithm,
-                        Algorithm::Naive | Algorithm::Dft | Algorithm::Fnd
-                    )
-                {
-                    PeelEngine::Frontier
-                } else {
-                    PeelEngine::Serial
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// Parses a CLI spelling (`auto|serial|frontier`).
-    pub fn parse(token: &str) -> Result<PeelEngine, CoreError> {
-        match token {
-            "auto" => Ok(PeelEngine::Auto),
-            "serial" => Ok(PeelEngine::Serial),
-            "frontier" => Ok(PeelEngine::Frontier),
-            other => Err(CoreError::UnknownName {
-                what: "engine",
-                token: other.to_string(),
-                expected: "auto|serial|frontier".to_string(),
-            }),
-        }
-    }
 }
 
 impl std::fmt::Display for PeelEngine {
@@ -314,37 +258,22 @@ impl std::fmt::Display for PeelEngine {
         let name = match self {
             PeelEngine::Serial => "serial",
             PeelEngine::Frontier => "frontier",
-            PeelEngine::Auto => "auto",
         };
         write!(f, "{name}")
     }
 }
 
-/// Tuning for [`decompose_with`]. [`Default`] selects the backend
-/// automatically and uses every available CPU for index construction;
-/// [`decompose`] runs with these defaults.
-#[derive(Clone, Copy, Debug)]
+/// Tuning for a [`crate::session::Nucleus`] session. [`Default`] selects
+/// the backend automatically and uses every available CPU; [`decompose`]
+/// runs with these defaults.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DecomposeOptions {
     /// Backend selection policy.
     pub backend: Backend,
-    /// Peeling engine selection policy. [`PeelEngine::Frontier`]
-    /// requires a materialized run; see the variant docs for the exact
-    /// interaction with `backend`.
-    pub engine: PeelEngine,
     /// Worker threads for index construction, frontier peeling rounds,
     /// and parallel ω counting where a space supports it. `0` means
     /// "all available CPUs".
     pub threads: usize,
-}
-
-impl Default for DecomposeOptions {
-    fn default() -> Self {
-        DecomposeOptions {
-            backend: Backend::Auto,
-            engine: PeelEngine::Auto,
-            threads: 0,
-        }
-    }
 }
 
 impl DecomposeOptions {
@@ -396,8 +325,7 @@ pub struct Decomposition {
     /// The backend that actually ran ([`Backend::Auto`] resolved to
     /// [`Backend::Lazy`] or [`Backend::Materialized`]).
     pub backend: Backend,
-    /// The peeling engine that actually ran ([`PeelEngine::Auto`]
-    /// resolved to [`PeelEngine::Serial`] or [`PeelEngine::Frontier`]).
+    /// The peeling engine that ran (see [`PeelEngine`] for the rule).
     pub engine: PeelEngine,
     /// λ per cell + peeling order.
     pub peeling: Peeling,
@@ -410,7 +338,11 @@ pub struct Decomposition {
 }
 
 /// Runs the chosen `algorithm` for `kind` on `g` with
-/// [`DecomposeOptions::default`] (automatic backend selection).
+/// [`DecomposeOptions::default`]: a [`crate::session::Prepared`] session
+/// run once. Index construction (materialized backend) is accounted to
+/// the peeling phase, like clique enumeration. LCPS walks the graph
+/// directly, so it is prepared lazily and no index is built only to be
+/// bypassed.
 ///
 /// # Errors
 /// [`CoreError::UnsupportedAlgorithm`] when `algorithm` is
@@ -420,79 +352,29 @@ pub fn decompose(
     kind: Kind,
     algorithm: Algorithm,
 ) -> Result<Decomposition, CoreError> {
-    decompose_with(g, kind, algorithm, DecomposeOptions::default())
-}
-
-/// Runs the chosen `algorithm` for `kind` on `g` with explicit
-/// [`DecomposeOptions`] — in particular the peeling [`Backend`] and
-/// [`PeelEngine`]. Index construction (materialized backend) is
-/// accounted to the peeling phase, like clique enumeration. LCPS walks
-/// the graph directly and ignores the backend choice.
-///
-/// This is a thin wrapper: it prepares a [`crate::session::Prepared`]
-/// for `g` and runs it exactly once, producing bit-identical results to
-/// the prepared pipeline (and to the pre-session implementation).
-///
-/// # Errors
-/// * [`CoreError::UnsupportedAlgorithm`] when `algorithm` is
-///   [`Algorithm::Lcps`] and `kind` is not [`Kind::Core`];
-/// * [`CoreError::InvalidOptions`] when [`PeelEngine::Frontier`] is
-///   requested together with [`Algorithm::Lcps`] (which never runs
-///   `Set-λ`) or with an explicit [`Backend::Lazy`].
-pub fn decompose_with(
-    g: &CsrGraph,
-    kind: Kind,
-    algorithm: Algorithm,
-    options: DecomposeOptions,
-) -> Result<Decomposition, CoreError> {
-    // Validate up front (not at `run`) so the constraint-check order —
-    // and therefore which error a doubly-invalid request reports — is
-    // exactly the pre-session one.
-    plan::validate(kind, algorithm, options.backend, options.engine)?;
-    // LCPS ignores the backend (it walks the graph directly): prepare
-    // lazily, as the single-shot path always has, so no index is built
-    // only to be bypassed.
+    // Fail before enumerating cliques the run could never use.
+    plan::validate(kind, algorithm)?;
     let backend = if algorithm == Algorithm::Lcps {
         Backend::Lazy
     } else {
-        options.backend
+        Backend::Auto
     };
     Nucleus::builder(g)
         .kind(kind)
         .backend(backend)
-        .engine(options.engine)
-        .threads(options.threads)
         .prepare()?
         .run(algorithm)
 }
 
-/// Runs the *Hypo* baseline for `kind` with default options: peeling
-/// plus one full sweep. Returns the phase times and the number of
-/// s-connectivity components; no hierarchy is produced (that is the
+/// Runs the *Hypo* baseline for `kind` with default options: serial
+/// peeling plus one full sweep. Returns the phase times and the number
+/// of s-connectivity components; no hierarchy is produced (that is the
 /// point of the baseline).
 pub fn hypo_baseline(g: &CsrGraph, kind: Kind) -> (PhaseTimes, usize) {
-    hypo_baseline_with(g, kind, DecomposeOptions::default())
-}
-
-/// [`hypo_baseline`] with an explicit backend choice, so the baseline
-/// stays comparable when the other algorithms run materialized. The
-/// [`DecomposeOptions::engine`] field is ignored: the baseline always
-/// peels serially (it exists to reproduce the paper's sequential cost
-/// model, not to be fast).
-pub fn hypo_baseline_with(
-    g: &CsrGraph,
-    kind: Kind,
-    options: DecomposeOptions,
-) -> (PhaseTimes, usize) {
     Nucleus::builder(g)
         .kind(kind)
-        .backend(options.backend)
-        // the baseline never uses the frontier engine, and `Serial`
-        // composes with every backend, so `prepare` cannot fail
-        .engine(PeelEngine::Serial)
-        .threads(options.threads)
         .prepare()
-        .expect("serial engine composes with every backend")
+        .expect("a default session always prepares")
         .hypo_baseline()
 }
 
@@ -543,35 +425,22 @@ mod tests {
     #[test]
     fn backends_produce_identical_decompositions() {
         let g = test_graphs::nested_cores();
+        // one thread: both backends peel serially, so the order must
+        // match too
+        let run = |kind, algo, backend| {
+            Nucleus::builder(&g)
+                .kind(kind)
+                .backend(backend)
+                .threads(1)
+                .prepare()
+                .unwrap()
+                .run(algo)
+                .unwrap()
+        };
         for kind in Kind::all() {
             for &algo in Algorithm::for_kind(kind) {
-                if algo == Algorithm::Lcps {
-                    continue;
-                }
-                let lazy = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        backend: Backend::Lazy,
-                        // pinned: this test isolates backend equivalence
-                        // (strict order equality needs one engine)
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                    },
-                )
-                .expect("lazy");
-                let mat = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        backend: Backend::Materialized,
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                    },
-                )
-                .expect("materialized");
+                let lazy = run(kind, algo, Backend::Lazy);
+                let mat = run(kind, algo, Backend::Materialized);
                 assert_eq!(lazy.peeling.lambda, mat.peeling.lambda, "{kind}/{algo} λ");
                 assert_eq!(lazy.peeling.order, mat.peeling.order, "{kind}/{algo} order");
                 assert_eq!(lazy.hierarchy, mat.hierarchy, "{kind}/{algo} hierarchy");
@@ -593,62 +462,44 @@ mod tests {
     #[test]
     fn hypo_baseline_backends_agree_on_components() {
         let g = test_graphs::nested_cores();
+        let comps = |kind, backend, threads| {
+            let p = Nucleus::builder(&g)
+                .kind(kind)
+                .backend(backend)
+                .threads(threads)
+                .prepare()
+                .unwrap();
+            p.hypo_baseline().1
+        };
         for kind in Kind::all() {
-            let (_, lazy) = hypo_baseline_with(
-                &g,
-                kind,
-                DecomposeOptions {
-                    backend: Backend::Lazy,
-                    threads: 1,
-                    ..DecomposeOptions::default()
-                },
+            assert_eq!(
+                comps(kind, Backend::Lazy, 1),
+                comps(kind, Backend::Materialized, 3),
+                "{kind}"
             );
-            let (_, mat) = hypo_baseline_with(
-                &g,
-                kind,
-                DecomposeOptions {
-                    backend: Backend::Materialized,
-                    threads: 3,
-                    ..DecomposeOptions::default()
-                },
-            );
-            assert_eq!(lazy, mat, "{kind}");
         }
     }
 
+    /// Each engine on its own thread count: one worker peels serially,
+    /// two ride the frontier engine, with identical λ and hierarchies.
     #[test]
     fn engines_produce_identical_decompositions() {
         let g = test_graphs::nested_cores();
         for kind in Kind::all() {
             for &algo in &[Algorithm::Naive, Algorithm::Dft, Algorithm::Fnd] {
-                let serial = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        engine: PeelEngine::Serial,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("serial");
-                let frontier = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        engine: PeelEngine::Frontier,
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .expect("frontier");
+                let run = |threads| {
+                    Nucleus::builder(&g)
+                        .kind(kind)
+                        .threads(threads)
+                        .prepare()
+                        .unwrap()
+                        .run(algo)
+                        .unwrap()
+                };
+                let (serial, frontier) = (run(1), run(2));
+                assert_eq!(serial.engine, PeelEngine::Serial);
                 assert_eq!(frontier.engine, PeelEngine::Frontier);
-                assert_eq!(
-                    frontier.backend,
-                    Backend::Materialized,
-                    "engine forces index"
-                );
+                assert_eq!(frontier.backend, Backend::Materialized);
                 assert_eq!(
                     serial.peeling.lambda, frontier.peeling.lambda,
                     "{kind}/{algo}"
@@ -658,48 +509,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frontier_engine_rejects_incompatible_options() {
-        let g = test_graphs::nested_cores();
-        let frontier = |backend| DecomposeOptions {
-            backend,
-            engine: PeelEngine::Frontier,
-            threads: 2,
-        };
-        // FND now rides the frontier engine; only LCPS and the lazy
-        // backend remain genuinely incompatible.
-        decompose_with(&g, Kind::Core, Algorithm::Fnd, frontier(Backend::Auto))
-            .expect("frontier FND is a supported combination");
-        let err =
-            decompose_with(&g, Kind::Core, Algorithm::Lcps, frontier(Backend::Auto)).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        assert!(format!("{err}").contains("LCPS"), "{err}");
-        let err =
-            decompose_with(&g, Kind::Truss, Algorithm::Dft, frontier(Backend::Lazy)).unwrap_err();
-        assert!(format!("{err}").contains("materialized"), "{err}");
-    }
-
-    /// Pins Auto's full resolution matrix (algorithm × backend ×
-    /// threads) so a future engine can't silently change defaults.
+    /// Pins the engine rule over its whole input (algorithm × backend ×
+    /// threads) so a future engine can't silently change defaults: the
+    /// frontier engine runs exactly on materialized, multi-threaded
+    /// runs of a peeling algorithm.
     #[test]
     fn auto_engine_resolution_matrix() {
-        use PeelEngine::{Frontier, Serial};
-        for algo in Algorithm::ALL {
-            for materialized in [false, true] {
-                for threads in [1, 2, 8] {
-                    let expected = if materialized && threads > 1 && algo != Algorithm::Lcps {
-                        Frontier
+        let g = test_graphs::nested_cores();
+        for backend in [Backend::Lazy, Backend::Materialized] {
+            for threads in [1, 2, 8] {
+                let p = Nucleus::builder(&g)
+                    .backend(backend)
+                    .threads(threads)
+                    .prepare()
+                    .unwrap();
+                for algo in Algorithm::ALL {
+                    let expected = if backend == Backend::Materialized
+                        && threads > 1
+                        && algo != Algorithm::Lcps
+                    {
+                        PeelEngine::Frontier
                     } else {
-                        Serial
+                        PeelEngine::Serial
                     };
                     assert_eq!(
-                        PeelEngine::Auto.resolve(algo, materialized, threads),
+                        p.plan(algo).unwrap().engine,
                         expected,
-                        "auto({algo}, materialized={materialized}, threads={threads})"
+                        "{algo}, {backend}, threads={threads}"
                     );
-                    // explicit choices always resolve to themselves
-                    assert_eq!(Serial.resolve(algo, materialized, threads), Serial);
-                    assert_eq!(Frontier.resolve(algo, materialized, threads), Frontier);
                 }
             }
         }
@@ -707,58 +544,20 @@ mod tests {
 
     #[test]
     fn auto_engine_resolution_policy() {
-        // Auto picks Frontier only for materialized multi-thread
-        // Set-λ runs (Naive/DFT/FND), Serial everywhere else.
-        let auto = PeelEngine::Auto;
-        assert_eq!(auto.resolve(Algorithm::Dft, true, 4), PeelEngine::Frontier);
-        assert_eq!(
-            auto.resolve(Algorithm::Naive, true, 2),
-            PeelEngine::Frontier
-        );
-        assert_eq!(auto.resolve(Algorithm::Dft, true, 1), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Dft, false, 4), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Fnd, true, 4), PeelEngine::Frontier);
-        assert_eq!(auto.resolve(Algorithm::Fnd, true, 1), PeelEngine::Serial);
-        assert_eq!(auto.resolve(Algorithm::Lcps, true, 4), PeelEngine::Serial);
-        // explicit choices resolve to themselves
-        assert_eq!(
-            PeelEngine::Frontier.resolve(Algorithm::Dft, true, 1),
-            PeelEngine::Frontier
-        );
-        assert_eq!(
-            PeelEngine::Serial.resolve(Algorithm::Dft, true, 8),
-            PeelEngine::Serial
-        );
-        // the decomposition reports the resolved engine
+        // the decomposition reports the engine that ran, and the plan
+        // predicted it
         let g = test_graphs::nested_cores();
-        for algo in [Algorithm::Dft, Algorithm::Fnd] {
-            let d = decompose_with(
-                &g,
-                Kind::Core,
-                algo,
-                DecomposeOptions {
-                    engine: PeelEngine::Auto,
-                    threads: 2,
-                    ..DecomposeOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(d.engine, PeelEngine::Frontier, "{algo}");
+        for (threads, engine) in [(1, PeelEngine::Serial), (2, PeelEngine::Frontier)] {
+            let p = Nucleus::builder(&g).threads(threads).prepare().unwrap();
+            for algo in [Algorithm::Dft, Algorithm::Fnd] {
+                assert_eq!(p.run(algo).unwrap().engine, engine, "{algo} t{threads}");
+                assert_eq!(p.plan(algo).unwrap().engine, engine, "{algo} t{threads}");
+            }
+            // LCPS never runs Set-λ
+            assert_eq!(p.run(Algorithm::Lcps).unwrap().engine, PeelEngine::Serial);
         }
-        let d = decompose_with(
-            &g,
-            Kind::Core,
-            Algorithm::Fnd,
-            DecomposeOptions {
-                threads: 1,
-                ..DecomposeOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(d.engine, PeelEngine::Serial);
-        assert_eq!(format!("{}", PeelEngine::Auto), "auto");
+        assert_eq!(format!("{}", PeelEngine::Serial), "serial");
         assert_eq!(format!("{}", PeelEngine::Frontier), "frontier");
-        assert_eq!(PeelEngine::default(), PeelEngine::Auto);
     }
 
     #[test]
@@ -806,13 +605,11 @@ mod tests {
         for algo in Algorithm::ALL {
             assert!(msg.contains(algo.name()), "{msg}");
         }
-        // backend / engine spellings
+        // backend spellings
         assert_eq!(
             Backend::parse("materialized").unwrap(),
             Backend::Materialized
         );
         assert!(Backend::parse("bogus").is_err());
-        assert_eq!(PeelEngine::parse("frontier").unwrap(), PeelEngine::Frontier);
-        assert!(PeelEngine::parse("bogus").is_err());
     }
 }

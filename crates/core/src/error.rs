@@ -13,16 +13,16 @@ pub enum CoreError {
         /// Family it was requested for.
         kind: String,
     },
-    /// The requested [`crate::decompose::DecomposeOptions`] combination
-    /// is contradictory (e.g. the frontier peeling engine with the lazy
-    /// backend, or with LCPS, which walks the graph directly and never
-    /// peels).
+    /// The requested options contradict the call: an explicit
+    /// [`crate::decompose::Backend::Lazy`] passed to
+    /// [`crate::session::NucleusBuilder::prepare_from_index`], which
+    /// loads a materialized index.
     InvalidOptions {
         /// Human-readable explanation of the conflict.
         reason: String,
     },
     /// A textual token (typically a CLI argument) named no known kind,
-    /// algorithm, backend or engine. Produced by the `parse` associated
+    /// algorithm or backend. Produced by the `parse` associated
     /// functions on those types; `expected` enumerates the actual
     /// accepted spellings, so the message never goes stale.
     UnknownName {

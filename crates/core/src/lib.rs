@@ -57,8 +57,8 @@ pub mod weighted;
 pub(crate) mod test_graphs;
 
 pub use decompose::{
-    decompose, decompose_with, hypo_baseline, hypo_baseline_with, Algorithm, Backend,
-    DecomposeOptions, Decomposition, Kind, PeelEngine, PhaseTimes,
+    decompose, hypo_baseline, Algorithm, Backend, DecomposeOptions, Decomposition, Kind,
+    PeelEngine, PhaseTimes,
 };
 pub use error::CoreError;
 pub use hierarchy::{Hierarchy, HierarchyNode};
@@ -77,8 +77,8 @@ pub mod prelude {
     pub use crate::algo::tcp::{tcp_query, TcpIndex};
     pub use crate::analytics::{skeleton_profile, SkeletonProfile};
     pub use crate::decompose::{
-        decompose, decompose_with, hypo_baseline, hypo_baseline_with, Algorithm, Backend,
-        DecomposeOptions, Decomposition, Kind, PeelEngine, PhaseTimes,
+        decompose, hypo_baseline, Algorithm, Backend, DecomposeOptions, Decomposition, Kind,
+        PeelEngine, PhaseTimes,
     };
     pub use crate::export::{extract_nucleus, hierarchy_to_dot, ExtractedSubgraph};
     pub use crate::hierarchy::{Hierarchy, HierarchyNode};

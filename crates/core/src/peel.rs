@@ -85,8 +85,10 @@
 //!
 //! The frontier engine assumes container enumeration is cheap enough to
 //! repeat per round participant — run it over an
-//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans),
-//! which is how [`crate::decompose::PeelEngine::Frontier`] wires it.
+//! [`crate::space::IndexedSpace`] (flat [`ContainerIndex`] scans).
+//! That is why a [`crate::session::Prepared`] session picks it only for
+//! materialized runs with more than one worker thread, and peels
+//! serially otherwise (see [`crate::decompose::PeelEngine`]).
 //!
 //! [`ContainerIndex`]: crate::space::ContainerIndex
 

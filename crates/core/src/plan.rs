@@ -1,63 +1,28 @@
 //! Up-front resolution of a decomposition run: which backend and engine
-//! will actually execute, whether the requested combination is legal at
-//! all, and a human-readable explanation of both decisions.
+//! will actually execute, whether the algorithm applies to the family,
+//! and a human-readable explanation of both decisions.
 //!
-//! Historically the cross-constraint checks (frontier × lazy, frontier ×
-//! LCPS, LCPS × non-core) were scattered through `decompose_with`'s
-//! dispatch; this module is their single home. [`validate`] rejects
-//! contradictory combinations with structured [`CoreError`]s, and
-//! [`Plan`] records the *resolved* choices ([`Backend::Auto`] and
-//! [`PeelEngine::Auto`] pinned to what will really run) together with
-//! the size facts that drove them, so a caller — or the `nucleus
-//! decompose --explain` CLI flag — can see what a run will do before
-//! paying for it.
+//! [`validate`] is the one home of the only cross-constraint left
+//! (LCPS × non-core), and [`Plan`] records the *resolved* choices
+//! ([`Backend::Auto`] pinned to what will really run, and the engine the
+//! session derives from the backend, the thread count and the
+//! algorithm) together with the size facts that drove them, so a
+//! caller — or the `nucleus decompose --explain` CLI flag — can see
+//! what a run will do before paying for it.
 //!
 //! Plans are produced by [`crate::session::Prepared::plan`]; the
-//! [`crate::decompose::decompose_with`] wrapper funnels through the same
-//! [`validate`] so the one-shot and prepared APIs reject exactly the
-//! same combinations.
+//! [`crate::decompose::decompose`] shorthand funnels through the same
+//! [`validate`] before it prepares anything.
 
 use std::fmt;
 
 use crate::decompose::{Algorithm, Backend, Kind, PeelEngine};
 use crate::error::CoreError;
 
-/// Checks every cross-constraint between a family, an algorithm, a
-/// backend policy and an engine policy — the single home of the rules:
-///
-/// 1. [`PeelEngine::Frontier`] drives every algorithm that runs
-///    `Set-λ` ([`Algorithm::Naive`], [`Algorithm::Dft`], and — since
-///    the sink-based parallel FND — [`Algorithm::Fnd`]); only
-///    [`Algorithm::Lcps`], which walks the graph directly and never
-///    peels, rejects it ([`CoreError::InvalidOptions`]).
-/// 2. [`PeelEngine::Frontier`] needs O(1) repeated container access, so
-///    an explicit [`Backend::Lazy`] contradicts it
-///    ([`CoreError::InvalidOptions`]; `Auto` is fine — the frontier
-///    request forces materialization past the size cap).
-/// 3. [`Algorithm::Lcps`] is defined for [`Kind::Core`] only
-///    ([`CoreError::UnsupportedAlgorithm`]).
-///
-/// The check order is observable (a request can violate several rules
-/// at once) and is kept exactly as the pre-session `decompose_with`
-/// reported it: engine × algorithm first, then engine × backend, then
-/// algorithm × kind.
-pub fn validate(
-    kind: Kind,
-    algorithm: Algorithm,
-    backend: Backend,
-    engine: PeelEngine,
-) -> Result<(), CoreError> {
-    if !engine.supports(algorithm) {
-        return Err(CoreError::InvalidOptions {
-            reason: format!(
-                "the frontier peeling engine cannot drive {algorithm}: it never runs Set-λ \
-                 (every peeling algorithm — Naive, DFT, FND — accepts the frontier engine)"
-            ),
-        });
-    }
-    if engine == PeelEngine::Frontier && backend == Backend::Lazy {
-        return Err(frontier_lazy_conflict());
-    }
+/// Checks that `algorithm` applies to `kind`: [`Algorithm::Lcps`] is
+/// defined for [`Kind::Core`] only
+/// ([`CoreError::UnsupportedAlgorithm`]).
+pub fn validate(kind: Kind, algorithm: Algorithm) -> Result<(), CoreError> {
     if algorithm == Algorithm::Lcps && kind != Kind::Core {
         return Err(CoreError::UnsupportedAlgorithm {
             algorithm: "LCPS",
@@ -65,18 +30,6 @@ pub fn validate(
         });
     }
     Ok(())
-}
-
-/// The frontier × explicit-lazy rejection, shared between [`validate`]
-/// and the prepare-time fast-fail in
-/// [`crate::session::NucleusBuilder::prepare`] so the wording cannot
-/// drift between the two call sites.
-pub(crate) fn frontier_lazy_conflict() -> CoreError {
-    CoreError::InvalidOptions {
-        reason: "the frontier peeling engine needs O(1) repeated container access; \
-                 use the materialized (or auto) backend"
-            .to_string(),
-    }
 }
 
 /// The fully resolved description of one decomposition run: every
@@ -93,8 +46,7 @@ pub struct Plan {
     /// Resolved backend: [`Backend::Lazy`] or [`Backend::Materialized`],
     /// never `Auto`.
     pub backend: Backend,
-    /// Resolved engine: [`PeelEngine::Serial`] or
-    /// [`PeelEngine::Frontier`], never `Auto`.
+    /// The engine the run will use (see [`PeelEngine`] for the rule).
     pub engine: PeelEngine,
     /// Effective worker threads (`0` already resolved to the CPU count).
     pub threads: usize,
@@ -118,8 +70,8 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Multi-line human-readable rendering: what will run, and why each
-    /// `Auto` resolved the way it did.
+    /// Multi-line human-readable rendering: what will run, and why the
+    /// backend and the engine came out as they did.
     pub fn explain(&self) -> String {
         format!(
             "plan: {} {} via {}\n  backend: {} — {}\n  engine:  {} — {}\n  threads: {}\n  \
@@ -170,58 +122,17 @@ mod tests {
 
     #[test]
     fn validate_rejects_each_conflict() {
-        // engine × algorithm: only LCPS (never peels) rejects frontier;
-        // FND rides it since the parallel path landed
-        let err = validate(
-            Kind::Core,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        assert!(format!("{err}").contains("LCPS"));
-        validate(
-            Kind::Core,
-            Algorithm::Fnd,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .expect("frontier FND is legal");
-        // engine × backend
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Dft,
-            Backend::Lazy,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(format!("{err}").contains("materialized"), "{err}");
-        // algorithm × kind
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Auto,
-        )
-        .unwrap_err();
+        // algorithm × kind is the one conflict left
+        let err = validate(Kind::Truss, Algorithm::Lcps).unwrap_err();
         assert!(
             matches!(err, CoreError::UnsupportedAlgorithm { .. }),
             "{err}"
         );
-        // check order: frontier × LCPS outranks LCPS × kind
-        let err = validate(
-            Kind::Truss,
-            Algorithm::Lcps,
-            Backend::Auto,
-            PeelEngine::Frontier,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
+        assert!(format!("{err}").contains("LCPS"));
         // every legal combination passes
         for kind in Kind::all() {
             for &algo in Algorithm::for_kind(kind) {
-                validate(kind, algo, Backend::Auto, PeelEngine::Auto).unwrap();
+                validate(kind, algo).unwrap();
             }
         }
     }

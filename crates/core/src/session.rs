@@ -33,19 +33,20 @@
 //! 2. **[`NucleusBuilder::prepare`]** does the expensive, run-invariant
 //!    work: builds the space (clique enumeration, ω counts), resolves
 //!    the [`Backend`] policy (including the `Auto` size estimate) and,
-//!    when materialized, builds the [`ContainerIndex`]. It fails fast
-//!    on option combinations that no run could ever satisfy
-//!    (frontier engine × explicit lazy backend).
+//!    when materialized, builds the [`ContainerIndex`].
 //! 3. **[`Prepared::run`]** executes one algorithm over the cached
-//!    space/index — bit-identical to the one-shot API — and can be
-//!    called any number of times; runs never mutate the prepared state.
-//!    [`Prepared::plan`] returns the same decision as a [`Plan`]
-//!    without running, and [`Prepared::hypo_baseline`] runs the Hypo
-//!    baseline over the same cached space.
+//!    space/index and can be called any number of times; runs never
+//!    mutate the prepared state. [`Prepared::plan`] returns the same
+//!    decision as a [`Plan`] without running, and
+//!    [`Prepared::hypo_baseline`] runs the Hypo baseline over the same
+//!    cached space.
 //!
-//! Validation is centralized in [`crate::plan::validate`]: the checks
-//! that involve the algorithm (frontier × LCPS, LCPS × non-core)
-//! happen at `plan`/`run` time, since one `Prepared` may serve
+//! The session, not the caller, picks the peeling engine for each run
+//! (the rule is on [`PeelEngine`]); `threads(1)` is how a caller gets
+//! the serial engine.
+//!
+//! The one algorithm check, [`crate::plan::validate`] (LCPS × non-core),
+//! happens at `plan`/`run` time, since one `Prepared` may serve
 //! different algorithms.
 
 use std::sync::OnceLock;
@@ -128,7 +129,7 @@ pub struct Nucleus;
 
 impl Nucleus {
     /// Starts configuring a decomposition session over `g`. Defaults:
-    /// [`Kind::Core`], automatic backend and engine, all CPUs.
+    /// [`Kind::Core`], automatic backend, all CPUs.
     pub fn builder(g: &CsrGraph) -> NucleusBuilder<'_> {
         NucleusBuilder {
             g,
@@ -160,21 +161,9 @@ impl<'g> NucleusBuilder<'g> {
         self
     }
 
-    /// Selects the engine policy (default [`PeelEngine::Auto`]).
-    pub fn engine(mut self, engine: PeelEngine) -> Self {
-        self.options.engine = engine;
-        self
-    }
-
     /// Caps worker threads (default `0` = all CPUs).
     pub fn threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
-        self
-    }
-
-    /// Applies a whole [`DecomposeOptions`] at once (keeps the kind).
-    pub fn options(mut self, options: DecomposeOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -183,15 +172,10 @@ impl<'g> NucleusBuilder<'g> {
     /// the [`ContainerIndex`] when the resolution says materialize.
     ///
     /// # Errors
-    /// [`CoreError::InvalidOptions`] when [`PeelEngine::Frontier`] was
-    /// combined with an explicit [`Backend::Lazy`] — the one conflict
-    /// that no later `run` could resolve. Algorithm-dependent conflicts
-    /// surface from [`Prepared::run`] / [`Prepared::plan`].
+    /// None today: every option combination prepares. The algorithm
+    /// check surfaces from [`Prepared::run`] / [`Prepared::plan`].
     pub fn prepare(self) -> Result<Prepared<'g>, CoreError> {
         let NucleusBuilder { g, kind, options } = self;
-        if options.engine == PeelEngine::Frontier && options.backend == Backend::Lazy {
-            return Err(plan::frontier_lazy_conflict());
-        }
         let threads = options.effective_threads();
         let t0 = Instant::now();
         let space = AnySpace::build(g, kind, threads);
@@ -208,8 +192,7 @@ impl<'g> NucleusBuilder<'g> {
                 let counts = s.degrees();
                 let containers: u64 = counts.iter().map(|&c| c as u64).sum();
                 let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                let (materialize, reason) =
-                    resolve_backend(options.backend, options.engine, est);
+                let (materialize, reason) = resolve_backend(options.backend, est);
                 let index =
                     materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
                 let facts = OnceLock::new();
@@ -225,7 +208,6 @@ impl<'g> NucleusBuilder<'g> {
             } else {
                 Backend::Lazy
             },
-            engine: options.engine,
             threads,
             space,
             index,
@@ -302,7 +284,6 @@ impl<'g> NucleusBuilder<'g> {
             g,
             kind,
             backend: Backend::Materialized,
-            engine: options.engine,
             threads,
             space,
             index: Some(container_index),
@@ -317,16 +298,8 @@ impl<'g> NucleusBuilder<'g> {
 
 /// Resolves the backend policy into a concrete materialize/lazy
 /// decision plus the human-readable "why" that [`Plan::explain`]
-/// reports. An explicit frontier-engine request forces materialization
-/// (the engine is defined over the flat index), even past the `Auto`
-/// size cap — mirroring the one-shot API.
-fn resolve_backend(backend: Backend, engine: PeelEngine, est_bytes: usize) -> (bool, String) {
-    if engine == PeelEngine::Frontier {
-        return (
-            true,
-            "forced by the frontier engine (defined over the flat index)".to_string(),
-        );
-    }
+/// reports.
+fn resolve_backend(backend: Backend, est_bytes: usize) -> (bool, String) {
     let materialize = backend.wants_index(|| est_bytes);
     let reason = match backend {
         Backend::Lazy | Backend::Materialized => "explicitly requested".to_string(),
@@ -343,6 +316,17 @@ fn resolve_backend(backend: Backend, engine: PeelEngine, est_bytes: usize) -> (b
     (materialize, reason)
 }
 
+/// The engine rule: frontier exactly on materialized, multi-threaded
+/// runs of an algorithm that peels (the frontier engine needs O(1)
+/// repeated container access, and LCPS never runs `Set-λ`).
+fn resolve(algorithm: Algorithm, materialized: bool, threads: usize) -> PeelEngine {
+    if materialized && threads > 1 && algorithm != Algorithm::Lcps {
+        PeelEngine::Frontier
+    } else {
+        PeelEngine::Serial
+    }
+}
+
 /// A prepared decomposition session: the space (and, when materialized,
 /// its [`ContainerIndex`]) built once, ready to serve any number of
 /// [`Prepared::run`] calls. Runs never mutate the prepared state, so a
@@ -353,9 +337,6 @@ pub struct Prepared<'g> {
     kind: Kind,
     /// Resolved: `Lazy` or `Materialized`, never `Auto`.
     backend: Backend,
-    /// As requested (possibly `Auto`): the engine resolves per run,
-    /// because it depends on the algorithm.
-    engine: PeelEngine,
     threads: usize,
     space: AnySpace<'g>,
     index: Option<ContainerIndex>,
@@ -440,8 +421,7 @@ impl<'g> Prepared<'g> {
 
     /// Resolves — without running — exactly what [`Prepared::run`]
     /// would do for `algorithm`: the concrete backend/engine, thread
-    /// count, space sizes, and the reasons behind both `Auto`
-    /// decisions.
+    /// count, space sizes, and the reasons behind both decisions.
     ///
     /// # Errors
     /// The same [`crate::plan::validate`] rejections `run` would
@@ -449,32 +429,21 @@ impl<'g> Prepared<'g> {
     pub fn plan(&self, algorithm: Algorithm) -> Result<Plan, CoreError> {
         let engine = self.resolve_engine(algorithm)?;
         let materialized = self.index.is_some();
-        // Whenever the run will actually use the frontier engine, the
-        // reason also reports the hybrid-round policy it runs under.
-        let hybrid = format!(
-            "hybrid, serial below {}",
-            FrontierOptions::default().serial_round_threshold
-        );
-        let engine_reason = match self.engine {
-            PeelEngine::Serial => "explicitly requested".to_string(),
-            PeelEngine::Frontier => format!("explicitly requested ({hybrid})"),
-            PeelEngine::Auto => {
-                if engine == PeelEngine::Frontier {
-                    format!(
-                        "auto: frontier ({hybrid}) — materialized run, {} threads, {algorithm} \
-                         rides the peel",
-                        self.threads
-                    )
-                } else if !materialized {
-                    "auto: serial (lazy backend re-enumerates containers per visit)".to_string()
-                } else if self.threads <= 1 {
-                    "auto: serial (single worker thread)".to_string()
-                } else {
-                    // Only LCPS lands here now: it walks the graph
-                    // directly and never runs Set-λ.
-                    format!("auto: serial (the frontier engine does not drive {algorithm})")
-                }
-            }
+        // On frontier runs the reason also reports the hybrid-round
+        // policy the engine runs under.
+        let engine_reason = if engine == PeelEngine::Frontier {
+            format!(
+                "materialized run, {} threads, {algorithm} rides the peel (hybrid, serial \
+                 below {})",
+                self.threads,
+                FrontierOptions::default().serial_round_threshold
+            )
+        } else if !materialized {
+            "lazy backend re-enumerates containers per visit".to_string()
+        } else if self.threads <= 1 {
+            "single worker thread".to_string()
+        } else {
+            format!("{algorithm} walks the graph directly and never runs Set-λ")
         };
         Ok(Plan {
             kind: self.kind,
@@ -496,17 +465,15 @@ impl<'g> Prepared<'g> {
     /// and [`Prepared::run`] (the latter skips the [`Plan`] facts,
     /// which may cost a container enumeration on lazy sessions).
     fn resolve_engine(&self, algorithm: Algorithm) -> Result<PeelEngine, CoreError> {
-        plan::validate(self.kind, algorithm, self.backend, self.engine)?;
-        Ok(self
-            .engine
-            .resolve(algorithm, self.index.is_some(), self.threads))
+        plan::validate(self.kind, algorithm)?;
+        Ok(resolve(algorithm, self.index.is_some(), self.threads))
     }
 
     /// Runs one algorithm over the cached space, producing the same
-    /// [`Decomposition`] the one-shot API would — bit-identical λ,
-    /// order and hierarchy — with the preparation cost amortized across
-    /// calls. The reported peel phase includes [`Prepared::prep_time`]
-    /// so phase splits stay comparable with [`mod@crate::decompose`].
+    /// [`Decomposition`] the one-shot [`crate::decompose::decompose`]
+    /// would, with the preparation cost amortized across calls. The
+    /// reported peel phase includes [`Prepared::prep_time`] so phase
+    /// splits stay comparable with [`mod@crate::decompose`].
     ///
     /// # Errors
     /// See [`crate::plan::validate`].
@@ -560,10 +527,8 @@ impl<'g> Prepared<'g> {
         }
     }
 
-    /// The algorithm dispatch, monomorphized per space *and* backend —
-    /// the exact hot path the pre-session `decompose_with` ran, now fed
-    /// from the cached space. `engine` is already resolved (never
-    /// `Auto`).
+    /// The algorithm dispatch, monomorphized per space *and* backend,
+    /// fed from the cached space. `engine` is already resolved.
     fn run_algo<S: PeelSpace + Sync>(
         &self,
         space: &S,
@@ -579,7 +544,7 @@ impl<'g> Prepared<'g> {
                     PeelEngine::Frontier => {
                         fnd_parallel_with(space, FndOptions::default(), self.frontier_options())
                     }
-                    _ => fnd(space),
+                    PeelEngine::Serial => fnd(space),
                 };
                 Decomposition {
                     kind: self.kind,
@@ -604,7 +569,7 @@ impl<'g> Prepared<'g> {
                     PeelEngine::Frontier => {
                         peel_with_sink(space, self.frontier_options(), &mut PlainSink)
                     }
-                    _ => peel(space),
+                    PeelEngine::Serial => peel(space),
                 };
                 let peel_t = self.prep_time + t0.elapsed();
                 let t1 = Instant::now();
@@ -652,8 +617,8 @@ impl<'g> Prepared<'g> {
     /// plus one full sweep. Returns the phase times (peel includes
     /// [`Prepared::prep_time`]) and the number of s-connectivity
     /// components; no hierarchy is produced (that is the point of the
-    /// baseline). Always peels serially, whatever the session's engine
-    /// policy.
+    /// baseline). Always peels serially, whatever engine the session's
+    /// runs use.
     pub fn hypo_baseline(&self) -> (PhaseTimes, usize) {
         fn run_on<B: crate::space::PeelBackend>(space: &B, prep: Duration) -> (PhaseTimes, usize) {
             let t0 = Instant::now();
@@ -679,29 +644,16 @@ impl<'g> Prepared<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::{decompose_with, hypo_baseline_with};
+    use crate::decompose::{decompose, hypo_baseline};
     use crate::test_graphs;
 
     #[test]
     fn prepared_runs_match_one_shot_for_all_kinds() {
         let g = test_graphs::nested_cores();
         for kind in Kind::all() {
-            let prepared = Nucleus::builder(&g)
-                .kind(kind)
-                .threads(2)
-                .prepare()
-                .unwrap();
+            let prepared = Nucleus::builder(&g).kind(kind).prepare().unwrap();
             for &algo in Algorithm::for_kind(kind) {
-                let one_shot = decompose_with(
-                    &g,
-                    kind,
-                    algo,
-                    DecomposeOptions {
-                        threads: 2,
-                        ..DecomposeOptions::default()
-                    },
-                )
-                .unwrap();
+                let one_shot = decompose(&g, kind, algo).unwrap();
                 let run = prepared.run(algo).unwrap();
                 assert_eq!(
                     run.peeling.lambda, one_shot.peeling.lambda,
@@ -783,27 +735,23 @@ mod tests {
     #[test]
     fn plan_and_run_reject_what_validate_rejects() {
         let g = test_graphs::nested_cores();
-        // frontier × lazy dies at prepare
-        let err = Nucleus::builder(&g)
-            .backend(Backend::Lazy)
-            .engine(PeelEngine::Frontier)
-            .prepare()
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidOptions { .. }), "{err}");
-        // frontier × LCPS dies at plan/run
-        let prepared = Nucleus::builder(&g)
-            .engine(PeelEngine::Frontier)
-            .threads(2)
-            .prepare()
-            .unwrap();
-        assert!(prepared.plan(Algorithm::Lcps).is_err());
-        assert!(prepared.run(Algorithm::Lcps).is_err());
-        // ... but every peeling algorithm runs on that same session
-        assert!(prepared.run(Algorithm::Dft).is_ok());
-        assert!(prepared.run(Algorithm::Fnd).is_ok());
+        // every backend × thread count prepares, and runs every
+        // algorithm of the kind
+        for backend in [Backend::Lazy, Backend::Materialized, Backend::Auto] {
+            for threads in [1, 2] {
+                let prepared = Nucleus::builder(&g)
+                    .backend(backend)
+                    .threads(threads)
+                    .prepare()
+                    .unwrap();
+                for algo in Algorithm::ALL {
+                    assert!(prepared.run(algo).is_ok(), "{algo} {backend} t{threads}");
+                }
+            }
+        }
         // LCPS × non-core dies at plan/run
         let prepared = Nucleus::builder(&g).kind(Kind::EdgeK4).prepare().unwrap();
+        assert!(prepared.plan(Algorithm::Lcps).is_err());
         let err = prepared.run(Algorithm::Lcps).unwrap_err();
         assert!(
             matches!(err, CoreError::UnsupportedAlgorithm { .. }),
@@ -821,9 +769,8 @@ mod tests {
             .unwrap();
         let via_session = prepared.run(Algorithm::Lcps).unwrap();
         assert_eq!(via_session.backend, Backend::Materialized);
-        let one_shot =
-            decompose_with(&g, Kind::Core, Algorithm::Lcps, DecomposeOptions::default()).unwrap();
-        // the wrapper path stays lazy (old behavior), results agree
+        let one_shot = decompose(&g, Kind::Core, Algorithm::Lcps).unwrap();
+        // the shorthand prepares LCPS lazily, results agree
         assert_eq!(one_shot.backend, Backend::Lazy);
         assert_eq!(via_session.peeling.lambda, one_shot.peeling.lambda);
         assert_eq!(via_session.hierarchy, one_shot.hierarchy);
@@ -835,7 +782,7 @@ mod tests {
         for kind in Kind::all() {
             let prepared = Nucleus::builder(&g).kind(kind).prepare().unwrap();
             let (_, comps) = prepared.hypo_baseline();
-            let (_, one_shot) = hypo_baseline_with(&g, kind, DecomposeOptions::default());
+            let (_, one_shot) = hypo_baseline(&g, kind);
             assert_eq!(comps, one_shot, "{kind}");
         }
     }

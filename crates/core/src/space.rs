@@ -37,7 +37,8 @@
 //!
 //! The materialized backend is also the substrate of the
 //! **frontier-parallel peeling engine**
-//! ([`crate::peel::peel_with_sink`], selected through
+//! ([`crate::peel::peel_with_sink`], which a session runs on every
+//! materialized multi-threaded peel, see
 //! [`crate::decompose::PeelEngine`]): processing a whole λ-level per
 //! round only pays off when each participant's container scan is a flat
 //! [`ContainerIndex`] read, and the engine's container-liveness

@@ -18,7 +18,15 @@ fn valid_image(kind: Kind) -> (CsrGraph, Vec<u8>) {
     let g = nucleus_gen::karate::karate_club();
     let dir = std::env::temp_dir().join("nucleus-persist-adversarial");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{}-{}.nidx", std::process::id(), kind.name()));
+    // One file per call: tests run in parallel, and two of them saving
+    // (and removing) the same path race each other.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = dir.join(format!(
+        "{}-{call}-{}.nidx",
+        std::process::id(),
+        kind.name()
+    ));
     Nucleus::builder(&g)
         .kind(kind)
         .backend(Backend::Materialized)

@@ -9,9 +9,7 @@ use nucleus_core::algo::fnd::{fnd, fnd_parallel_with, FndOptions};
 use nucleus_core::algo::lcps::lcps;
 use nucleus_core::algo::naive::naive;
 use nucleus_core::algo::tcp::{tcp_query, TcpIndex};
-use nucleus_core::decompose::{
-    decompose_with, Algorithm, Backend, DecomposeOptions, Kind, PeelEngine,
-};
+use nucleus_core::decompose::{hypo_baseline, Algorithm, Backend, Kind};
 use nucleus_core::peel::{peel, peel_reference, peel_with_sink, FrontierOptions, PlainSink};
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
@@ -32,9 +30,10 @@ use nucleus_graph::CsrGraph;
 ///   counts, per-edge K4 degrees) that feed the peeling engines;
 /// * the whole prepared pipeline: `prepare` → FND at every thread count
 ///   must produce identical λ and an identical hierarchy for all five
-///   kinds (the frontier engine is pinned so the peel itself is the
-///   thread-count-invariant one; `check_engine_equivalence` separately
-///   forces the parallel `build_hierarchy` path via
+///   kinds, and an identical order at 2 and 8 threads, where the session
+///   runs the thread-count-invariant frontier engine (one thread peels
+///   serially; `check_engine_equivalence` pins the frontier engine at
+///   one thread and forces the parallel `build_hierarchy` path via
 ///   `min_parallel_work: 0`).
 fn check_prepare_equivalence(g: &CsrGraph) {
     use nucleus_cliques::triangles::edge_supports;
@@ -77,31 +76,25 @@ fn check_prepare_equivalence(g: &CsrGraph) {
         }
     }
     for kind in Kind::all() {
-        let options = DecomposeOptions {
-            engine: PeelEngine::Frontier,
-            threads: 1,
-            ..DecomposeOptions::default()
-        };
-        let base = Nucleus::builder(g)
-            .kind(kind)
-            .options(options)
-            .prepare()
-            .expect("prepare t=1");
-        let fnd_base = base.run(Algorithm::Fnd).expect("FND t=1");
-        for threads in [2usize, 8] {
-            let p = Nucleus::builder(g)
+        let run = |threads| {
+            Nucleus::builder(g)
                 .kind(kind)
-                .options(DecomposeOptions { threads, ..options })
+                .threads(threads)
                 .prepare()
-                .unwrap_or_else(|e| panic!("prepare {kind} t={threads}: {e}"));
-            let out = p.run(Algorithm::Fnd).expect("FND");
+                .unwrap_or_else(|e| panic!("prepare {kind} t={threads}: {e}"))
+                .run(Algorithm::Fnd)
+                .expect("FND")
+        };
+        let serial = run(1);
+        let frontier = run(2);
+        for (threads, out) in [(2usize, &frontier), (8, &run(8))] {
             let label = format!("{kind} t={threads}");
-            assert_eq!(fnd_base.peeling.lambda, out.peeling.lambda, "λ at {label}");
+            assert_eq!(serial.peeling.lambda, out.peeling.lambda, "λ at {label}");
+            assert_eq!(serial.hierarchy, out.hierarchy, "hierarchy at {label}");
             assert_eq!(
-                fnd_base.peeling.order, out.peeling.order,
+                frontier.peeling.order, out.peeling.order,
                 "order at {label}"
             );
-            assert_eq!(fnd_base.hierarchy, out.hierarchy, "hierarchy at {label}");
         }
     }
 }
@@ -204,72 +197,53 @@ fn check_engine_equivalence<S: PeelSpace + Sync>(space: &S) {
     }
 }
 
-/// Pins the prepared-pipeline API to the one-shot `decompose_with` for
-/// one kind, across every backend × engine × algorithm combination:
+/// The session's own contract for one kind, over every backend policy
+/// at one thread (serial engine) and two (frontier engine on
+/// materialized runs), for every algorithm of the kind:
 ///
-/// * when the one-shot call succeeds, the session produces bit-identical
-///   λ, peeling order and hierarchy, and resolves the same backend and
-///   engine (exception: LCPS one-shots always prepare lazily by design,
-///   so only the results are compared there);
+/// * λ and the hierarchy are identical everywhere;
+/// * the peel order is identical across backends at one thread count
+///   wherever the same engine ran (at two threads, explicit-lazy runs
+///   peel serially and the others ride the frontier engine);
 /// * a **second** `run` on the same `Prepared` reproduces the first one
 ///   exactly — reuse does not corrupt the cached space or index;
-/// * when the one-shot call rejects the combination, the session
-///   rejects it too, with the same `CoreError` variant (at `prepare`
-///   for algorithm-independent conflicts, at `run` otherwise).
+/// * the Hypo baseline counts the same components everywhere, and as
+///   the one-shot `hypo_baseline`.
 fn check_session_equivalence(g: &CsrGraph, kind: Kind) {
-    for backend in [Backend::Lazy, Backend::Materialized, Backend::Auto] {
-        for engine in [PeelEngine::Serial, PeelEngine::Frontier] {
-            let options = DecomposeOptions {
-                backend,
-                engine,
-                threads: 2,
-            };
-            let prepared = Nucleus::builder(g).kind(kind).options(options).prepare();
+    use std::collections::HashMap;
+    let (_, hypo) = hypo_baseline(g, kind);
+    let mut reference = HashMap::new();
+    for threads in [1usize, 2] {
+        let mut orders = HashMap::new();
+        for backend in [Backend::Lazy, Backend::Materialized, Backend::Auto] {
+            let p = Nucleus::builder(g)
+                .kind(kind)
+                .backend(backend)
+                .threads(threads)
+                .prepare()
+                .expect("prepare");
+            assert_eq!(
+                p.hypo_baseline().1,
+                hypo,
+                "{kind}/{backend}/t{threads} hypo"
+            );
             for &algo in Algorithm::for_kind(kind) {
-                let label = format!("{kind}/{algo}/{backend}/{engine}");
-                let one_shot = decompose_with(g, kind, algo, options);
-                match (&one_shot, &prepared) {
-                    (Ok(old), Ok(p)) => {
-                        let new = p.run(algo).expect(&label);
-                        assert_eq!(old.peeling.lambda, new.peeling.lambda, "{label} λ");
-                        assert_eq!(old.peeling.order, new.peeling.order, "{label} order");
-                        assert_eq!(old.hierarchy, new.hierarchy, "{label} hierarchy");
-                        if algo != Algorithm::Lcps {
-                            assert_eq!(old.backend, new.backend, "{label} backend");
-                            assert_eq!(old.engine, new.engine, "{label} engine");
-                        }
-                        // rerun on the same session: identical again
-                        let again = p.run(algo).expect(&label);
-                        assert_eq!(new.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
-                        assert_eq!(
-                            new.peeling.order, again.peeling.order,
-                            "{label} reuse order"
-                        );
-                        assert_eq!(new.hierarchy, again.hierarchy, "{label} reuse hierarchy");
-                    }
-                    (Err(old), Ok(p)) => {
-                        // algorithm-dependent conflict: surfaces at run,
-                        // same error variant as the one-shot path
-                        let new = p.run(algo).expect_err(&label);
-                        assert_eq!(
-                            std::mem::discriminant(old),
-                            std::mem::discriminant(&new),
-                            "{label}: one-shot {old} vs session {new}"
-                        );
-                    }
-                    (old, Err(_)) => {
-                        // prepare-time conflict (frontier × lazy): the
-                        // one-shot path must reject every algorithm too
-                        assert!(old.is_err(), "{label}: session rejected, one-shot ran");
-                    }
-                }
-            }
-            // the Hypo baseline agrees on component counts whenever the
-            // backend combination is expressible at all
-            if let Ok(p) = &prepared {
-                let (_, comps) = p.hypo_baseline();
-                let (_, old) = nucleus_core::decompose::hypo_baseline_with(g, kind, options);
-                assert_eq!(comps, old, "{kind}/{backend}/{engine} hypo components");
+                let label = format!("{kind}/{algo}/{backend}/t{threads}");
+                let d = p.run(algo).expect(&label);
+                let (lambda, hierarchy) = reference
+                    .entry(algo)
+                    .or_insert_with(|| (d.peeling.lambda.clone(), d.hierarchy.clone()));
+                assert_eq!(*lambda, d.peeling.lambda, "{label} λ");
+                assert_eq!(*hierarchy, d.hierarchy, "{label} hierarchy");
+                let order = orders
+                    .entry((algo, d.engine))
+                    .or_insert_with(|| d.peeling.order.clone());
+                assert_eq!(*order, d.peeling.order, "{label} order");
+                // rerun on the same session: identical again
+                let again = p.run(algo).expect(&label);
+                assert_eq!(d.peeling.lambda, again.peeling.lambda, "{label} reuse λ");
+                assert_eq!(d.peeling.order, again.peeling.order, "{label} reuse order");
+                assert_eq!(d.hierarchy, again.hierarchy, "{label} reuse hierarchy");
             }
         }
     }

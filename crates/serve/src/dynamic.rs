@@ -58,7 +58,6 @@ impl Epoch {
         epoch: u64,
         kind: Kind,
         default_algo: Option<Algorithm>,
-        density_cap: Option<usize>,
     ) -> Result<Epoch, ProtocolError> {
         let boxed = Box::new(graph);
         let gref: &'static CsrGraph = unsafe { &*(boxed.as_ref() as *const CsrGraph) };
@@ -69,9 +68,6 @@ impl Epoch {
         let mut state = ServeState::new(prepared);
         if let Some(algo) = default_algo {
             state = state.with_default_algo(algo);
-        }
-        if let Some(cap) = density_cap {
-            state = state.with_density_cap(cap);
         }
         Ok(Epoch {
             state,
@@ -87,7 +83,6 @@ impl Epoch {
 pub struct DynamicServeState {
     kind: Kind,
     default_algo: Option<Algorithm>,
-    density_cap: Option<usize>,
     /// Source of truth for topology; also serializes mutations.
     source: Mutex<DynamicGraph>,
     current: RwLock<Arc<Epoch>>,
@@ -100,39 +95,27 @@ impl DynamicServeState {
     /// [`ProtocolError`] with [`ErrorCode::Internal`] when the initial
     /// prepare fails.
     pub fn new(g: &CsrGraph, kind: Kind) -> Result<DynamicServeState, ProtocolError> {
-        let epoch = Epoch::build(g.clone(), 0, kind, None, None)?;
+        let epoch = Epoch::build(g.clone(), 0, kind, None)?;
         Ok(DynamicServeState {
             kind,
             default_algo: None,
-            density_cap: None,
             source: Mutex::new(DynamicGraph::topology(g)),
             current: RwLock::new(Arc::new(epoch)),
         })
     }
 
-    /// Overrides the algorithm used when a request names none (applies
-    /// from the next epoch on; call before serving).
+    /// Overrides the algorithm used when a request names none: on the
+    /// current epoch in place (no re-prepare) and on every later one.
     pub fn with_default_algo(mut self, algo: Algorithm) -> Self {
         self.default_algo = Some(algo);
-        self.rebuild_current();
+        let current = self.current.get_mut().expect("epoch lock poisoned");
+        // Queries clone the handle only for the length of one answer,
+        // and `self` is owned here, so no clone is alive.
+        Arc::get_mut(current)
+            .expect("no query holds the epoch of an owned state")
+            .state
+            .default_algo = algo;
         self
-    }
-
-    /// Overrides the density vertex cap, as
-    /// [`ServeState::with_density_cap`].
-    pub fn with_density_cap(mut self, cap: usize) -> Self {
-        self.density_cap = Some(cap);
-        self.rebuild_current();
-        self
-    }
-
-    /// Re-prepares epoch 0 after a builder-style option change.
-    fn rebuild_current(&mut self) {
-        let g = self.source.lock().expect("source lock poisoned").to_graph();
-        let epoch = self.current.read().expect("epoch lock poisoned").epoch;
-        if let Ok(fresh) = Epoch::build(g, epoch, self.kind, self.default_algo, self.density_cap) {
-            *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
-        }
     }
 
     /// The served family.
@@ -162,13 +145,7 @@ impl DynamicServeState {
         let t0 = Instant::now();
         let epoch = if rebuilt {
             let next = self.epoch_handle().epoch + 1;
-            let fresh = Epoch::build(
-                source.to_graph(),
-                next,
-                self.kind,
-                self.default_algo,
-                self.density_cap,
-            )?;
+            let fresh = Epoch::build(source.to_graph(), next, self.kind, self.default_algo)?;
             *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
             next
         } else {
@@ -327,6 +304,22 @@ mod tests {
             &Value::U64(g.m() as u64 - 1),
             "stats must reflect the mutated snapshot"
         );
+    }
+
+    #[test]
+    fn default_algo_applies_to_epoch_zero_in_place() {
+        let g = nucleus_gen::karate::karate_club();
+        let state = DynamicServeState::new(&g, Kind::Truss)
+            .unwrap()
+            .with_default_algo(Algorithm::Dft);
+        let v = answers_on(&state, r#"{"query":"stats"}"#).unwrap();
+        assert_eq!(field(&v, "default_algo"), &Value::Str("dft".to_string()));
+        assert_eq!(field(&v, "epoch"), &Value::U64(0));
+        // and on the epochs mutations swap in
+        answers_on(&state, r#"{"query":"mutate","ops":[["-",0,1]]}"#).unwrap();
+        let v = answers_on(&state, r#"{"query":"stats"}"#).unwrap();
+        assert_eq!(field(&v, "default_algo"), &Value::Str("dft".to_string()));
+        assert_eq!(field(&v, "epoch"), &Value::U64(1));
     }
 
     #[test]

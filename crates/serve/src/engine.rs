@@ -18,11 +18,6 @@ use serde::Value;
 
 use crate::protocol::{ErrorCode, ProtocolError, Query, Request};
 
-/// Default cap on how many vertices a `density`/`densest` computation
-/// will touch per node; nuclei above it answer `too_large` rather than
-/// stall a worker.
-pub const DEFAULT_DENSITY_VERTEX_CAP: usize = 250_000;
-
 /// What the server needs from a query engine: answer a parsed request,
 /// and render the engine half of the `stats` payload. Implemented by
 /// the immutable [`ServeState`] and the mutable
@@ -64,8 +59,6 @@ pub struct DensestAnswer {
     pub edges: usize,
     /// Edge density `2e / (n (n - 1))` of the spanned subgraph.
     pub density: f64,
-    /// Nodes skipped because they span more than the vertex cap.
-    pub skipped_over_cap: usize,
 }
 
 type HierarchySlot = OnceLock<Result<Arc<Hierarchy>, ProtocolError>>;
@@ -75,8 +68,8 @@ type DensestSlot = OnceLock<Result<DensestAnswer, ProtocolError>>;
 /// hierarchy and densest-node caches.
 pub struct ServeState<'g> {
     prepared: Prepared<'g>,
-    default_algo: Algorithm,
-    density_vertex_cap: usize,
+    /// Set in place by [`crate::DynamicServeState::with_default_algo`].
+    pub(crate) default_algo: Algorithm,
     hierarchies: [HierarchySlot; Algorithm::ALL.len()],
     densest: [DensestSlot; Algorithm::ALL.len()],
 }
@@ -88,7 +81,6 @@ impl<'g> ServeState<'g> {
         ServeState {
             prepared,
             default_algo: Algorithm::Fnd,
-            density_vertex_cap: DEFAULT_DENSITY_VERTEX_CAP,
             hierarchies: std::array::from_fn(|_| OnceLock::new()),
             densest: std::array::from_fn(|_| OnceLock::new()),
         }
@@ -97,12 +89,6 @@ impl<'g> ServeState<'g> {
     /// Overrides the algorithm used when a request names none.
     pub fn with_default_algo(mut self, algo: Algorithm) -> Self {
         self.default_algo = algo;
-        self
-    }
-
-    /// Overrides [`DEFAULT_DENSITY_VERTEX_CAP`].
-    pub fn with_density_cap(mut self, cap: usize) -> Self {
-        self.density_vertex_cap = cap.max(2);
         self
     }
 
@@ -294,19 +280,10 @@ impl<'g> ServeState<'g> {
     }
 
     /// Density of one node: vertices spanned by its member cells, edges
-    /// of the induced subgraph, `2e / (n (n - 1))`.
-    fn density_of(&self, h: &Hierarchy, node: u32) -> Result<(usize, usize, f64), ProtocolError> {
+    /// of the induced subgraph, `2e / (n (n - 1))`. Linear in the
+    /// spanned vertices' degrees.
+    fn density_of(&self, h: &Hierarchy, node: u32) -> (usize, usize, f64) {
         let vertices = self.prepared.nucleus_vertices(h, node);
-        if vertices.len() > self.density_vertex_cap {
-            return Err(ProtocolError::new(
-                ErrorCode::TooLarge,
-                format!(
-                    "nucleus spans {} vertices, over the density cap {}",
-                    vertices.len(),
-                    self.density_vertex_cap
-                ),
-            ));
-        }
         let edges = self.prepared.graph().induced_edge_count(&vertices);
         let n = vertices.len();
         let density = if n < 2 {
@@ -314,12 +291,12 @@ impl<'g> ServeState<'g> {
         } else {
             (2.0 * edges as f64) / (n as f64 * (n as f64 - 1.0))
         };
-        Ok((n, edges, density))
+        (n, edges, density)
     }
 
     fn answer_density(&self, h: &Hierarchy, node: u32) -> Result<Value, ProtocolError> {
         self.check_node(h, node)?;
-        let (n, e, d) = self.density_of(h, node)?;
+        let (n, e, d) = self.density_of(h, node);
         Ok(Value::Object(vec![
             ("node".to_string(), u(node)),
             ("lambda".to_string(), u(h.node(node).lambda)),
@@ -330,40 +307,25 @@ impl<'g> ServeState<'g> {
     }
 
     /// The (cached) best-density node for `algo`'s hierarchy: scanned
-    /// once over every non-root node, skipping nuclei above the vertex
-    /// cap; ties keep the first (lowest-id) node.
+    /// once over every non-root node; ties keep the first (lowest-id)
+    /// node.
     pub fn densest(&self, algo: Algorithm) -> Result<DensestAnswer, ProtocolError> {
         let res = self.densest[Self::slot_of(algo)].get_or_init(|| {
             let h = self.hierarchy(algo)?;
             let mut best: Option<DensestAnswer> = None;
-            let mut skipped = 0usize;
             for id in 1..h.len() as u32 {
-                match self.density_of(h, id) {
-                    Ok((n, e, d)) => {
-                        if best.is_none_or(|b| d > b.density) {
-                            best = Some(DensestAnswer {
-                                node: id,
-                                lambda: h.node(id).lambda,
-                                vertices: n,
-                                edges: e,
-                                density: d,
-                                skipped_over_cap: 0,
-                            });
-                        }
-                    }
-                    Err(e) if e.code == ErrorCode::TooLarge => skipped += 1,
-                    Err(e) => return Err(e),
+                let (n, e, d) = self.density_of(h, id);
+                if best.is_none_or(|b| d > b.density) {
+                    best = Some(DensestAnswer {
+                        node: id,
+                        lambda: h.node(id).lambda,
+                        vertices: n,
+                        edges: e,
+                        density: d,
+                    });
                 }
             }
-            match best {
-                Some(mut b) => {
-                    b.skipped_over_cap = skipped;
-                    Ok(b)
-                }
-                None => Err(ProtocolError::bad_request(
-                    "hierarchy has no non-root nuclei under the density cap",
-                )),
-            }
+            best.ok_or_else(|| ProtocolError::bad_request("hierarchy has no non-root nuclei"))
         });
         res.clone()
     }
@@ -376,7 +338,6 @@ impl<'g> ServeState<'g> {
             ("vertices".to_string(), u(b.vertices as u64)),
             ("edges".to_string(), u(b.edges as u64)),
             ("density".to_string(), Value::F64(b.density)),
-            ("skipped_over_cap".to_string(), u(b.skipped_over_cap as u64)),
         ]))
     }
 

@@ -86,6 +86,73 @@ fn shutdown(addr: std::net::SocketAddr) {
     assert!(resp.starts_with(r#"{"ok":true"#), "shutdown failed: {resp}");
 }
 
+/// `(vertices, edges, density)` of hierarchy node `node`, from the
+/// definition: the vertices its member cells span, and every vertex
+/// pair of those tested for an edge.
+fn density_by_definition(g: &CsrGraph, kind: Kind, cells: &[u32]) -> (u64, u64, f64) {
+    let mut vertices: Vec<u32> = match kind {
+        Kind::Core => cells.to_vec(),
+        Kind::Truss => cells
+            .iter()
+            .flat_map(|&e| {
+                let (u, v) = g.endpoints(e);
+                [u, v]
+            })
+            .collect(),
+        _ => unreachable!("cells are vertices or edges here"),
+    };
+    vertices.sort_unstable();
+    vertices.dedup();
+    let mut edges = 0u64;
+    for (i, &u) in vertices.iter().enumerate() {
+        for &v in &vertices[i + 1..] {
+            edges += u64::from(g.has_edge(u, v));
+        }
+    }
+    let n = vertices.len() as f64;
+    let density = if vertices.len() < 2 {
+        0.0
+    } else {
+        2.0 * edges as f64 / (n * (n - 1.0))
+    };
+    (vertices.len() as u64, edges, density)
+}
+
+/// Served `density` of every node, and `densest`, against the
+/// definition on karate and a small R-MAT graph.
+#[test]
+fn density_answers_match_the_definition() {
+    let karate = gen::karate::karate_club();
+    let rmat = gen::rmat::rmat(7, 8, gen::rmat::RmatParams::skewed(), 3);
+    for g in [&karate, &rmat] {
+        for kind in [Kind::Core, Kind::Truss] {
+            let state = ServeState::new(prepared(g, kind));
+            let h = state.hierarchy(Algorithm::Fnd).unwrap().clone();
+            let mut best: Option<(u32, (u64, u64, f64))> = None;
+            for node in 0..h.len() as u32 {
+                let (n, e, d) = density_by_definition(g, kind, &h.nucleus_cells(node));
+                let line = format!(r#"{{"query":"density","node":{node}}}"#);
+                let v = state.answer(&Request::parse(&line).unwrap()).unwrap();
+                let label = format!("{kind} n={} node {node}", g.n());
+                assert_eq!(v.field("vertices").unwrap(), &Value::U64(n), "{label}");
+                assert_eq!(v.field("edges").unwrap(), &Value::U64(e), "{label}");
+                assert_eq!(v.field("density").unwrap(), &Value::F64(d), "{label}");
+                if node > 0 && best.is_none_or(|(_, b)| d > b.2) {
+                    best = Some((node, (n, e, d)));
+                }
+            }
+            let (node, (n, e, d)) = best.expect("a non-root node");
+            let v = state
+                .answer(&Request::parse(r#"{"query":"densest"}"#).unwrap())
+                .unwrap();
+            assert_eq!(v.field("node").unwrap(), &Value::U64(node as u64), "{kind}");
+            assert_eq!(v.field("vertices").unwrap(), &Value::U64(n), "{kind}");
+            assert_eq!(v.field("edges").unwrap(), &Value::U64(e), "{kind}");
+            assert_eq!(v.field("density").unwrap(), &Value::F64(d), "{kind}");
+        }
+    }
+}
+
 #[test]
 fn concurrent_responses_are_bit_identical_to_library_calls() {
     let g = gen::planted::planted_cliques(6, &[8, 7, 6, 5], 42);

@@ -8,10 +8,11 @@
 //!
 //! Semantics differ from real proptest in one deliberate way: failing
 //! inputs are **not shrunk**. Each test case is drawn from a
-//! deterministic per-test rng (seeded from the test name, overridable
-//! via `PROPTEST_SEED`), so failures are reproducible run-to-run; they
-//! are simply reported with the case number instead of a minimized
-//! counterexample.
+//! deterministic per-test rng seeded from the test name, so failures are
+//! reproducible run-to-run; they are simply reported with the case
+//! number instead of a minimized counterexample. Setting `PROPTEST_SEED`
+//! mixes that seed into every test's name hash, so a new seed explores
+//! a new corpus while distinct properties still draw distinct streams.
 
 use std::ops::{Range, RangeInclusive};
 
@@ -73,21 +74,39 @@ impl std::fmt::Display for TestCaseError {
 /// The deterministic rng handed to strategies.
 pub struct TestRng(StdRng);
 
+/// The `PROPTEST_SEED` environment variable, if set.
+///
+/// # Panics
+/// When it is set but not a decimal u64.
+pub fn env_seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok().map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_SEED must be a decimal u64, got {s:?}"))
+    })
+}
+
+/// The rng seed of test `name`: FNV-1a over the name (stable across
+/// runs and rustc versions, unlike `DefaultHasher`), with `env`, when
+/// given, mixed in through a SplitMix64 finalizer.
+pub fn test_seed(name: &str, env: Option<u64>) -> u64 {
+    let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    });
+    match env {
+        None => hash,
+        Some(seed) => {
+            let mut z = (hash ^ seed).wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+}
+
 impl TestRng {
-    /// Rng for one named test: seeded from the test name, or from the
-    /// `PROPTEST_SEED` environment variable when set.
+    /// Rng for one named test: see [`test_seed`] and [`env_seed`].
     pub fn for_test(name: &str) -> TestRng {
-        let seed = match std::env::var("PROPTEST_SEED") {
-            Ok(s) => s
-                .parse()
-                .unwrap_or_else(|_| panic!("PROPTEST_SEED must be a decimal u64, got {s:?}")),
-            // FNV-1a over the test name: stable across runs and rustc
-            // versions, unlike `DefaultHasher`.
-            Err(_) => name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            }),
-        };
-        TestRng(StdRng::seed_from_u64(seed))
+        TestRng(StdRng::seed_from_u64(test_seed(name, env_seed())))
     }
 
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
@@ -320,8 +339,8 @@ macro_rules! __proptest_impl {
                         );
                     }
                     Err($crate::TestCaseError::Fail(msg)) => {
-                        panic!("property {} failed at case {passed}/{}: {msg}",
-                               stringify!($name), cfg.cases);
+                        panic!("property {} failed at case {passed}/{} (PROPTEST_SEED={:?}): {msg}",
+                               stringify!($name), cfg.cases, $crate::env_seed());
                     }
                 }
             }
@@ -452,6 +471,18 @@ mod tests {
             assert!((1..4).contains(&v.len()));
             assert!(v.iter().all(|&x| x < n));
         }
+    }
+
+    #[test]
+    fn env_seed_mixes_with_the_name() {
+        use super::test_seed;
+        // no env seed: the bare name hash
+        assert_ne!(test_seed("a", None), test_seed("b", None));
+        // one env seed: still one stream per name, and a new corpus
+        assert_ne!(test_seed("a", Some(7)), test_seed("b", Some(7)));
+        assert_ne!(test_seed("a", Some(7)), test_seed("a", None));
+        assert_ne!(test_seed("a", Some(7)), test_seed("a", Some(8)));
+        assert_eq!(test_seed("a", Some(7)), test_seed("a", Some(7)));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! End-to-end parallel-FND flow through the CLI: `decompose --algo fnd
-//! --engine frontier` must produce the same hierarchy rendering as the
-//! serial engine on every peeling family, at one and two threads, and
-//! `--explain` must name the frontier engine and its hybrid-round
-//! policy.
+//! --threads 2` (the frontier engine) must produce the same hierarchy
+//! rendering as `--threads 1` (the serial engine) on every peeling
+//! family, and `--explain` must name the frontier engine and its
+//! hybrid-round policy.
 
 use std::path::PathBuf;
 
@@ -34,25 +34,8 @@ fn frontier_fnd_matches_serial_on_every_kind() {
     .unwrap();
 
     for kind in ["core", "vertex-triangle", "truss", "edge-k4", "nucleus34"] {
-        let serial = cli(&[
-            "decompose",
-            "--input",
-            graph_s,
-            "--kind",
-            kind,
-            "--algo",
-            "fnd",
-            "--engine",
-            "serial",
-            "--depth",
-            "4",
-        ])
-        .unwrap();
-        assert!(serial.contains("[serial]"), "{kind}: {serial}");
-        // one worker (inline rounds) and two: both must agree with the
-        // serial hierarchy exactly
-        for threads in ["1", "2"] {
-            let frontier = cli(&[
+        let run = |threads| {
+            cli(&[
                 "decompose",
                 "--input",
                 graph_s,
@@ -60,24 +43,28 @@ fn frontier_fnd_matches_serial_on_every_kind() {
                 kind,
                 "--algo",
                 "fnd",
-                "--engine",
-                "frontier",
                 "--threads",
                 threads,
                 "--depth",
                 "4",
             ])
-            .unwrap();
-            assert!(
-                frontier.contains("[materialized][frontier]"),
-                "{kind}/t{threads}: {frontier}"
-            );
-            assert_eq!(
-                body(&serial),
-                body(&frontier),
-                "{kind}/t{threads}: hierarchies diverge"
-            );
-        }
+            .unwrap()
+        };
+        let serial = run("1");
+        assert!(
+            serial.contains("[materialized][serial]"),
+            "{kind}: {serial}"
+        );
+        let frontier = run("2");
+        assert!(
+            frontier.contains("[materialized][frontier]"),
+            "{kind}: {frontier}"
+        );
+        assert_eq!(
+            body(&serial),
+            body(&frontier),
+            "{kind}: hierarchies diverge"
+        );
     }
     std::fs::remove_file(&graph).ok();
 }
@@ -96,8 +83,6 @@ fn explain_names_the_hybrid_round_policy() {
         "truss",
         "--algo",
         "fnd",
-        "--engine",
-        "frontier",
         "--threads",
         "2",
         "--explain",
@@ -118,19 +103,20 @@ fn fnd_subnuclei_count_depends_on_the_engine() {
     use nucleus_core::{Algorithm, Kind, Nucleus, PeelEngine};
     let g = nucleus_gen::rmat::rmat(9, 8, nucleus_gen::rmat::RmatParams::skewed(), 1);
     for kind in Kind::all() {
-        let run = |engine, algo| {
+        let run = |threads, algo| {
             Nucleus::builder(&g)
                 .kind(kind)
-                .engine(engine)
-                .threads(2)
+                .threads(threads)
                 .prepare()
                 .unwrap()
                 .run(algo)
                 .unwrap()
         };
-        let serial = run(PeelEngine::Serial, Algorithm::Fnd);
-        let frontier = run(PeelEngine::Frontier, Algorithm::Fnd);
-        let dft = run(PeelEngine::Serial, Algorithm::Dft);
+        let serial = run(1, Algorithm::Fnd);
+        let frontier = run(2, Algorithm::Fnd);
+        let dft = run(1, Algorithm::Dft);
+        assert_eq!(serial.engine, PeelEngine::Serial, "{kind}");
+        assert_eq!(frontier.engine, PeelEngine::Frontier, "{kind}");
         assert_eq!(serial.hierarchy, frontier.hierarchy, "{kind}");
         assert!(
             serial.stats.subnuclei >= frontier.stats.subnuclei,
