@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Runs every experiment in sequence (Tables 1/3/4/5, Figure 6 plus the
 //! raw timing grids), writing markdown + CSV under `results/`.
 //! Usage: `run_all [--scale small|medium|large] [--naive34]`.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerates Table 3: dataset statistics of the paper. Usage: `table3 [--scale small|medium|large]`.
 fn main() {
     let scale = nucleus_bench::scale_from_args();

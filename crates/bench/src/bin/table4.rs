@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerates Table 4: k-core decomposition of the paper. Usage: `table4 [--scale small|medium|large]`.
 fn main() {
     let scale = nucleus_bench::scale_from_args();

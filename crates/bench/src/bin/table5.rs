@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Regenerates Table 5 (both halves: (2,3) and (3,4) decompositions).
 //! Usage: `table5 [--scale small|medium|large] [--naive34]`.
 fn main() {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Benchmark harness for regenerating the paper's evaluation
 //! (Tables 1, 3, 4, 5 and Figure 6) on the offline surrogate datasets.

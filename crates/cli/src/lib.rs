@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Implementation of the `nucleus` command-line tool.
 //!
@@ -372,7 +373,7 @@ fn cmd_stats<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 /// graph and any explicit `--kind`), otherwise `--kind` prepares from
 /// scratch with the materialized backend (the right default for a
 /// read-mostly serving workload).
-fn prepare_for_engine<'g>(g: &'g CsrGraph, args: &Args) -> Result<Prepared<'g>, String> {
+fn prepare_for_engine(g: &CsrGraph, args: &Args) -> Result<Prepared, String> {
     let threads = args.num("threads", 0usize)?;
     if let Some(index_path) = args.flags.get("index") {
         let index = PreparedIndex::load(index_path).map_err(|e| e.to_string())?;

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `nucleus` binary entry point; all logic lives in [`nucleus_cli`].
 
 fn main() {

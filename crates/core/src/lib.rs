@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-core — fast hierarchy construction for dense subgraphs
 //!

@@ -18,16 +18,15 @@
 //! bounds, record-structure invariants, and that the stored (r, s) pair
 //! names a supported [`Kind`] whose record arity matches. Binding the
 //! index to a graph additionally checks the stored *fingerprint*
-//! (vertex count, edge count, degree-sequence hash) against the live
-//! graph. Each failure mode maps to a typed error:
+//! (vertex count, edge count, degree-sequence hash, edge-set hash)
+//! against the live graph. Each failure mode maps to a typed error:
 //!
 //! * [`CoreError::IndexCorrupt`] — the bytes are structurally bad;
 //! * [`CoreError::IndexMismatch`] — valid bytes, wrong graph or kind;
 //! * [`CoreError::IndexIo`] — the file could not be read or written.
 //!
-//! The fingerprint catches any change to n, m or a degree, but a
-//! degree-preserving rewire is invisible to it — callers needing a
-//! stronger guarantee should hash the graph file itself.
+//! The fingerprint catches any change to n, m, a degree or the edge
+//! set, including a degree-preserving rewire.
 //!
 //! ```no_run
 //! use nucleus_core::prelude::*;
@@ -163,7 +162,7 @@ impl PreparedIndex {
     ///
     /// # Errors
     /// [`CoreError::IndexMismatch`] naming the first disagreeing
-    /// component (n, m, or the degree-sequence hash).
+    /// component (n, m, the degree-sequence hash or the edge-set hash).
     pub fn matches(&self, g: &CsrGraph) -> Result<(), CoreError> {
         self.matches_fingerprint(&graph_fingerprint(g))
     }
@@ -192,6 +191,8 @@ impl PreparedIndex {
             )
         } else if stored.degree_hash != live.degree_hash {
             "degree sequence changed since the index was built".to_string()
+        } else if stored.edge_hash != live.edge_hash {
+            "edge set changed since the index was built (same degrees)".to_string()
         } else {
             return Ok(());
         };
@@ -207,7 +208,7 @@ impl PreparedIndex {
     }
 }
 
-impl Prepared<'_> {
+impl Prepared {
     /// Writes this session's [`ContainerIndex`] to `path` in the
     /// persisted format, stamped with the graph's fingerprint, so a
     /// later process can [`PreparedIndex::load`] it instead of

@@ -41,6 +41,11 @@
 //!    [`Prepared::hypo_baseline`] runs the Hypo baseline over the same
 //!    cached space.
 //!
+//! A session keeps its own handle on the graph: [`CsrGraph`] clones
+//! share their buffers, so [`Nucleus::builder`] copies no adjacency, and
+//! a [`Prepared`] is a self-contained value that can be stored, moved or
+//! shared across threads independently of the caller's graph.
+//!
 //! The session, not the caller, picks the peeling engine for each run
 //! (the rule is on [`PeelEngine`]); `threads(1)` is how a caller gets
 //! the serial engine.
@@ -73,16 +78,16 @@ use crate::space::{
 
 /// The five lazy spaces behind one door, so [`Prepared`] can own any of
 /// them by value while the algorithms stay monomorphized per space.
-enum AnySpace<'g> {
-    Vertex(VertexSpace<'g>),
-    VertexTriangle(VertexTriangleSpace<'g>),
-    Edge(EdgeSpace<'g>),
-    EdgeK4(EdgeK4Space<'g>),
-    Triangle(TriangleSpace<'g>),
+enum AnySpace {
+    Vertex(VertexSpace),
+    VertexTriangle(VertexTriangleSpace),
+    Edge(EdgeSpace),
+    EdgeK4(EdgeK4Space),
+    Triangle(TriangleSpace),
 }
 
-impl<'g> AnySpace<'g> {
-    fn build(g: &'g CsrGraph, kind: Kind, threads: usize) -> Self {
+impl AnySpace {
+    fn build(g: &CsrGraph, kind: Kind, threads: usize) -> Self {
         match kind {
             Kind::Core => AnySpace::Vertex(VertexSpace::with_threads(g, threads)),
             Kind::VertexTriangle => {
@@ -129,10 +134,11 @@ pub struct Nucleus;
 
 impl Nucleus {
     /// Starts configuring a decomposition session over `g`. Defaults:
-    /// [`Kind::Core`], automatic backend, all CPUs.
-    pub fn builder(g: &CsrGraph) -> NucleusBuilder<'_> {
+    /// [`Kind::Core`], automatic backend, all CPUs. The session keeps
+    /// its own handle on `g` (an O(1) [`CsrGraph`] clone).
+    pub fn builder(g: &CsrGraph) -> NucleusBuilder {
         NucleusBuilder {
-            g,
+            g: g.clone(),
             kind: Kind::Core,
             options: DecomposeOptions::default(),
         }
@@ -141,14 +147,14 @@ impl Nucleus {
 
 /// Builder for a [`Prepared`] session: the same knobs as
 /// [`DecomposeOptions`] plus the [`Kind`], applied fluently.
-#[derive(Clone, Copy, Debug)]
-pub struct NucleusBuilder<'g> {
-    g: &'g CsrGraph,
+#[derive(Clone, Debug)]
+pub struct NucleusBuilder {
+    g: CsrGraph,
     kind: Kind,
     options: DecomposeOptions,
 }
 
-impl<'g> NucleusBuilder<'g> {
+impl NucleusBuilder {
     /// Selects the (r, s) family (default [`Kind::Core`]).
     pub fn kind(mut self, kind: Kind) -> Self {
         self.kind = kind;
@@ -174,11 +180,11 @@ impl<'g> NucleusBuilder<'g> {
     /// # Errors
     /// None today: every option combination prepares. The algorithm
     /// check surfaces from [`Prepared::run`] / [`Prepared::plan`].
-    pub fn prepare(self) -> Result<Prepared<'g>, CoreError> {
+    pub fn prepare(self) -> Result<Prepared, CoreError> {
         let NucleusBuilder { g, kind, options } = self;
         let threads = options.effective_threads();
         let t0 = Instant::now();
-        let space = AnySpace::build(g, kind, threads);
+        let space = AnySpace::build(&g, kind, threads);
         let cells = with_space!(space, s => s.cell_count());
         // Explicit-lazy sessions never touch `degrees()` here: the
         // one-shot lazy path never did (peeling computes ω itself per
@@ -201,7 +207,6 @@ impl<'g> NucleusBuilder<'g> {
             })
         };
         Ok(Prepared {
-            g,
             kind,
             backend: if index.is_some() {
                 Backend::Materialized
@@ -240,7 +245,7 @@ impl<'g> NucleusBuilder<'g> {
     pub fn prepare_from_index(
         self,
         index: crate::persist::PreparedIndex,
-    ) -> Result<Prepared<'g>, CoreError> {
+    ) -> Result<Prepared, CoreError> {
         let NucleusBuilder {
             g,
             kind: _,
@@ -253,16 +258,14 @@ impl<'g> NucleusBuilder<'g> {
                     .to_string(),
             });
         }
-        index.matches(g)?;
+        index.matches(&g)?;
         let kind = index.kind();
         let threads = options.effective_threads();
         let t0 = Instant::now();
-        let space = AnySpace::build(g, kind, threads);
+        let space = AnySpace::build(&g, kind, threads);
         let cells = with_space!(space, s => s.cell_count());
-        // The fingerprint pins n, m and the degree sequence, which
-        // determines the cell count for every kind except the
-        // triangle-celled ones — so cross-check the cell count too
-        // rather than trusting the file.
+        // The fingerprint pins the graph only up to its hashes, so
+        // cross-check the cell count too rather than trusting the file.
         if cells != index.cells() {
             return Err(CoreError::IndexMismatch {
                 path: index.path().to_string(),
@@ -281,7 +284,6 @@ impl<'g> NucleusBuilder<'g> {
         let facts = OnceLock::new();
         let _ = facts.set((containers, bytes));
         Ok(Prepared {
-            g,
             kind,
             backend: Backend::Materialized,
             threads,
@@ -332,13 +334,12 @@ fn resolve(algorithm: Algorithm, materialized: bool, threads: usize) -> PeelEngi
 /// [`Prepared::run`] calls. Runs never mutate the prepared state, so a
 /// `Prepared` behaves like an immutable snapshot of the graph's
 /// (r, s) structure.
-pub struct Prepared<'g> {
-    g: &'g CsrGraph,
+pub struct Prepared {
     kind: Kind,
     /// Resolved: `Lazy` or `Materialized`, never `Auto`.
     backend: Backend,
     threads: usize,
-    space: AnySpace<'g>,
+    space: AnySpace,
     index: Option<ContainerIndex>,
     cells: usize,
     /// `(Σ ω, estimated index bytes)` — filled at prepare time whenever
@@ -351,7 +352,7 @@ pub struct Prepared<'g> {
     prep_time: Duration,
 }
 
-impl<'g> Prepared<'g> {
+impl Prepared {
     /// The family this session decomposes.
     pub fn kind(&self) -> Kind {
         self.kind
@@ -408,9 +409,10 @@ impl<'g> Prepared<'g> {
         self.prep_time
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.g
+    /// The underlying graph: the space's own handle, sharing the
+    /// buffers of the graph the session was built from.
+    pub fn graph(&self) -> &CsrGraph {
+        with_space!(self.space, s => s.graph())
     }
 
     /// The session's [`ContainerIndex`], when materialized — what
@@ -499,7 +501,7 @@ impl<'g> Prepared<'g> {
         });
         let peel_t = self.prep_time + t0.elapsed();
         let t1 = Instant::now();
-        let hierarchy = lcps(self.g, &peeling);
+        let hierarchy = lcps(self.graph(), &peeling);
         let post_t = t1.elapsed();
         Decomposition {
             kind: self.kind,
@@ -802,6 +804,9 @@ mod tests {
         assert_eq!(prepared.cells(), g.m());
         assert!(prepared.containers() > 0);
         assert!(prepared.estimated_index_bytes() > 0);
-        assert!(std::ptr::eq(prepared.graph(), &g));
+        // preparing shares g's buffers instead of copying the graph
+        let buffer = g.neighbors(0).as_ptr();
+        assert_eq!(g.clone().neighbors(0).as_ptr(), buffer);
+        assert_eq!(prepared.graph().neighbors(0).as_ptr(), buffer);
     }
 }

@@ -13,27 +13,27 @@ use super::{PeelBackend, PeelSpace};
 /// triangles through edge `e`. Containers of `e = {u, v}` are found by
 /// intersecting the sorted adjacency lists of `u` and `v`, yielding the
 /// two companion edge ids per triangle without hashing.
-pub struct EdgeSpace<'g> {
-    g: &'g CsrGraph,
+pub struct EdgeSpace {
+    g: CsrGraph,
     supports: OnceLock<Vec<u32>>,
     threads: usize,
 }
 
-impl<'g> EdgeSpace<'g> {
+impl EdgeSpace {
     /// Wraps `g`. The triangle enumeration computing edge supports (the
     /// "enumerate all K_r's / find their ω" step of Alg. 1) is deferred
     /// to the first [`PeelBackend::degrees`] call, so sessions whose ω
     /// counts come from a persisted index never pay for it.
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
     /// Like [`EdgeSpace::new`], but the deferred support enumeration
     /// runs on `threads` worker threads (per-worker partial counts
     /// summed in order — identical output to the serial pass).
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         EdgeSpace {
-            g,
+            g: g.clone(),
             supports: OnceLock::new(),
             threads,
         }
@@ -41,11 +41,11 @@ impl<'g> EdgeSpace<'g> {
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 }
 
-impl PeelBackend for EdgeSpace<'_> {
+impl PeelBackend for EdgeSpace {
     fn cell_count(&self) -> usize {
         self.g.m()
     }
@@ -54,9 +54,9 @@ impl PeelBackend for EdgeSpace<'_> {
         self.supports
             .get_or_init(|| {
                 if self.threads <= 1 {
-                    edge_supports(self.g)
+                    edge_supports(&self.g)
                 } else {
-                    edge_supports_parallel(self.g, self.threads)
+                    edge_supports_parallel(&self.g, self.threads)
                 }
             })
             .clone()
@@ -84,7 +84,7 @@ impl PeelBackend for EdgeSpace<'_> {
     }
 }
 
-impl PeelSpace for EdgeSpace<'_> {
+impl PeelSpace for EdgeSpace {
     fn r(&self) -> u32 {
         2
     }

@@ -17,27 +17,27 @@ use super::{PeelBackend, PeelSpace};
 /// Containers of `e = {u, v}` are K4s `{u, v, w, x}`: `w, x` are common
 /// neighbors of `u, v` (read off the per-edge triangle index) that are
 /// themselves adjacent; the other cells are the remaining five edges.
-pub struct EdgeK4Space<'g> {
-    g: &'g CsrGraph,
+pub struct EdgeK4Space {
+    g: CsrGraph,
     index: OnceLock<TriangleIndex>,
     degrees: OnceLock<Vec<u32>>,
     threads: usize,
 }
 
-impl<'g> EdgeK4Space<'g> {
+impl EdgeK4Space {
     /// Wraps `g`. Both the triangle index (consulted per container
     /// enumeration) and the per-edge K4 counts are built on first use,
     /// so sessions driven by a persisted index skip them entirely.
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
     /// Like [`EdgeK4Space::new`], but the deferred triangle-list +
     /// index builds and the per-edge K4 count run on `threads` worker
     /// threads (all bit-identical to their serial twins).
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         EdgeK4Space {
-            g,
+            g: g.clone(),
             index: OnceLock::new(),
             degrees: OnceLock::new(),
             threads,
@@ -46,13 +46,13 @@ impl<'g> EdgeK4Space<'g> {
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 
     fn index(&self) -> &TriangleIndex {
         self.index.get_or_init(|| {
-            let tris = TriangleList::build_with_threads(self.g, self.threads);
-            TriangleIndex::build_with_threads(self.g, &tris, self.threads)
+            let tris = TriangleList::build_with_threads(&self.g, self.threads);
+            TriangleIndex::build_with_threads(&self.g, &tris, self.threads)
         })
     }
 }
@@ -77,7 +77,7 @@ fn for_each_k4_of_edge<F: FnMut([u32; 5])>(g: &CsrGraph, index: &TriangleIndex, 
     }
 }
 
-impl PeelBackend for EdgeK4Space<'_> {
+impl PeelBackend for EdgeK4Space {
     fn cell_count(&self) -> usize {
         self.g.m()
     }
@@ -89,9 +89,9 @@ impl PeelBackend for EdgeK4Space<'_> {
                 // adjacent pairs in each edge's third-vertex list
                 let index = self.index();
                 if self.threads <= 1 {
-                    k4_edge_degrees(self.g, index)
+                    k4_edge_degrees(&self.g, index)
                 } else {
-                    k4_edge_degrees_parallel(self.g, index, self.threads)
+                    k4_edge_degrees_parallel(&self.g, index, self.threads)
                 }
             })
             .clone()
@@ -99,11 +99,11 @@ impl PeelBackend for EdgeK4Space<'_> {
 
     #[inline]
     fn for_each_container<F: FnMut(&[u32])>(&self, cell: u32, mut f: F) {
-        for_each_k4_of_edge(self.g, self.index(), cell, |others| f(&others));
+        for_each_k4_of_edge(&self.g, self.index(), cell, |others| f(&others));
     }
 }
 
-impl PeelSpace for EdgeK4Space<'_> {
+impl PeelSpace for EdgeK4Space {
     fn r(&self) -> u32 {
         2
     }

@@ -18,19 +18,19 @@ use super::{PeelBackend, PeelSpace};
 /// eagerly. The per-edge index (consulted by container enumeration) and
 /// the K4 counts (`ω`) are deferred to first use: a session loading a
 /// persisted (3,4) index needs neither and pays for neither.
-pub struct TriangleSpace<'g> {
-    g: &'g CsrGraph,
+pub struct TriangleSpace {
+    g: CsrGraph,
     tris: TriangleList,
     index: OnceLock<TriangleIndex>,
     k4deg: OnceLock<Vec<u32>>,
     threads: usize,
 }
 
-impl<'g> TriangleSpace<'g> {
+impl TriangleSpace {
     /// Builds the space: enumerates triangles eagerly; the per-edge
     /// index and K4 degrees (the "enumerate K_r's + set ω" part of
     /// Alg. 1) follow lazily on first use.
-    pub fn new(g: &'g CsrGraph) -> Self {
+    pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
@@ -41,9 +41,9 @@ impl<'g> TriangleSpace<'g> {
     /// [`nucleus_cliques::parallel::triangle_count_parallel`]). All
     /// three parallel builders are bit-identical to their serial twins,
     /// so the space's observable state never depends on `threads`.
-    pub fn with_threads(g: &'g CsrGraph, threads: usize) -> Self {
+    pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         TriangleSpace {
-            g,
+            g: g.clone(),
             tris: TriangleList::build_with_threads(g, threads),
             index: OnceLock::new(),
             k4deg: OnceLock::new(),
@@ -53,22 +53,22 @@ impl<'g> TriangleSpace<'g> {
 
     fn index(&self) -> &TriangleIndex {
         self.index
-            .get_or_init(|| TriangleIndex::build_with_threads(self.g, &self.tris, self.threads))
+            .get_or_init(|| TriangleIndex::build_with_threads(&self.g, &self.tris, self.threads))
     }
 
     fn k4deg(&self) -> &[u32] {
         self.k4deg.get_or_init(|| {
             if self.threads <= 1 {
-                k4_degrees(self.g, &self.tris)
+                k4_degrees(&self.g, &self.tris)
             } else {
-                k4_degrees_parallel(self.g, &self.tris, self.threads)
+                k4_degrees_parallel(&self.g, &self.tris, self.threads)
             }
         })
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
-        self.g
+        &self.g
     }
 
     /// The materialized triangle list (cells of this space).
@@ -82,7 +82,7 @@ impl<'g> TriangleSpace<'g> {
     }
 }
 
-impl PeelBackend for TriangleSpace<'_> {
+impl PeelBackend for TriangleSpace {
     fn cell_count(&self) -> usize {
         self.tris.len()
     }
@@ -120,7 +120,7 @@ impl PeelBackend for TriangleSpace<'_> {
     }
 }
 
-impl PeelSpace for TriangleSpace<'_> {
+impl PeelSpace for TriangleSpace {
     fn r(&self) -> u32 {
         3
     }

@@ -8,7 +8,7 @@ use nucleus_core::decompose::{Algorithm, Backend, Kind};
 use nucleus_core::error::CoreError;
 use nucleus_core::persist::PreparedIndex;
 use nucleus_core::session::Nucleus;
-use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE};
+use nucleus_graph::persist_io::{hash64, FILE_HASH_RANGE, FORMAT_VERSION};
 use nucleus_graph::CsrGraph;
 use rand::{Rng, SeedableRng};
 
@@ -79,7 +79,7 @@ fn wrong_magic_is_corrupt() {
 #[test]
 fn future_version_is_corrupt_and_names_the_version() {
     let (_, mut bytes) = valid_image(Kind::Truss);
-    bytes[16..20].copy_from_slice(&2u32.to_le_bytes());
+    bytes[16..20].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     reseal(&mut bytes);
     match PreparedIndex::from_bytes(bytes, "future") {
         Err(CoreError::IndexCorrupt { reason, .. }) => {
@@ -159,6 +159,41 @@ fn fingerprint_mismatch_is_typed_not_silent() {
         .map(|_| ())
         .unwrap_err();
     assert!(err.to_string().contains("does not match"), "{err}");
+}
+
+#[test]
+fn degree_preserving_rewire_is_a_mismatch() {
+    let (g, bytes) = valid_image(Kind::Truss);
+    let index = PreparedIndex::from_bytes(bytes, "stale").unwrap();
+    // A double-edge swap: {a,b}, {c,d} become {a,d}, {c,b}, so every
+    // vertex keeps its degree.
+    let mut edges: Vec<(u32, u32)> = g.edges().map(|(_, u, v)| (u, v)).collect();
+    let (i, j) = (0..edges.len())
+        .flat_map(|i| (i + 1..edges.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| {
+            let ((a, b), (c, d)) = (edges[i], edges[j]);
+            a != c && a != d && b != c && b != d && !g.has_edge(a, d) && !g.has_edge(c, b)
+        })
+        .expect("karate has a swappable edge pair");
+    let ((a, b), (c, d)) = (edges[i], edges[j]);
+    edges[i] = (a, d);
+    edges[j] = (c, b);
+    let rewired = CsrGraph::from_edges(g.n(), &edges);
+    assert_eq!(rewired.m(), g.m());
+    for v in g.vertices() {
+        assert_eq!(rewired.degree(v), g.degree(v), "vertex {v}");
+    }
+    match index.matches(&rewired).unwrap_err() {
+        CoreError::IndexMismatch { reason, .. } => {
+            assert!(reason.contains("edge set"), "{reason}");
+        }
+        other => panic!("expected IndexMismatch on the edge hash, got {other}"),
+    }
+    let err = Nucleus::builder(&rewired)
+        .prepare_from_index(index)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(matches!(err, CoreError::IndexMismatch { .. }), "{err}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! in batches by [`DynamicGraph::apply`].
 
 use nucleus_core::Kind;
-use nucleus_graph::persist_io::{graph_fingerprint, hash64, GraphFingerprint};
+use nucleus_graph::persist_io::{edge_set_hash, graph_fingerprint, hash64, GraphFingerprint};
 use nucleus_graph::CsrGraph;
 
 use crate::cores::CoreState;
@@ -182,10 +182,15 @@ impl DynamicGraph {
         for ns in &self.adj {
             bytes.extend_from_slice(&(ns.len() as u32).to_le_bytes());
         }
+        let edges = self.adj.iter().zip(0u32..).flat_map(|(ns, u)| {
+            let above = ns.partition_point(|&v| v <= u);
+            ns[above..].iter().map(move |&v| (u, v))
+        });
         GraphFingerprint {
             n: self.n() as u64,
             m: self.m as u64,
             degree_hash: hash64(&bytes),
+            edge_hash: edge_set_hash(edges),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Immutable undirected graph in compressed-sparse-row (CSR) form.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Vertex identifier. Dense in `0..n`.
 pub type VertexId = u32;
@@ -15,16 +15,21 @@ pub type EdgeId = u32;
 /// sorted slice and `edge_id(u, v)` is a binary search. Edge ids are the
 /// peeling *cells* of the (2,3)-nucleus decomposition, which is why they
 /// are first-class here rather than an afterthought.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// A graph is immutable once built, and clones share its buffers:
+/// `clone()` is O(1) and copies no adjacency, so every holder of a
+/// graph (a space, a session, a serving epoch) keeps its own handle
+/// instead of a borrow. A changed graph is a new value.
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors`/`edge_ids` for `v`.
-    offsets: Vec<usize>,
+    offsets: Arc<[usize]>,
     /// Concatenated sorted adjacency lists (both directions).
-    neighbors: Vec<u32>,
+    neighbors: Arc<[u32]>,
     /// `edge_ids[i]` is the undirected id of the arc `neighbors[i]`.
-    edge_ids: Vec<u32>,
+    edge_ids: Arc<[u32]>,
     /// Endpoints of every undirected edge, `u < v`.
-    endpoints: Vec<(u32, u32)>,
+    endpoints: Arc<[(u32, u32)]>,
 }
 
 impl CsrGraph {
@@ -114,10 +119,10 @@ impl CsrGraph {
         }
         debug_assert_eq!(edges.len(), m);
         CsrGraph {
-            offsets,
-            neighbors,
-            edge_ids,
-            endpoints: edges,
+            offsets: offsets.into(),
+            neighbors: neighbors.into(),
+            edge_ids: edge_ids.into(),
+            endpoints: edges.into(),
         }
     }
 

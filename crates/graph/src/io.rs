@@ -103,23 +103,28 @@ pub fn read_binary<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
+    let n = u64::from_le_bytes(buf8);
+    // Vertex ids are u32: no graph names more than 2^32 vertices.
+    if n > 1 << 32 {
+        return Err(GraphError::Format(format!(
+            "vertex count {n} exceeds u32 vertex ids"
+        )));
+    }
+    let n = n as usize;
     r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    let mut edges = Vec::with_capacity(m);
+    let m = u64::from_le_bytes(buf8);
+    // The header's edge count is untrusted: grow as edges arrive, so a
+    // short file ends in an EOF error rather than a huge allocation.
+    let mut edges = Vec::new();
     for _ in 0..m {
         r.read_exact(&mut buf4)?;
         let u = u32::from_le_bytes(buf4);
         r.read_exact(&mut buf4)?;
         let v = u32::from_le_bytes(buf4);
+        if u as usize >= n || v as usize >= n {
+            return Err(GraphError::Format("edge endpoint out of range".into()));
+        }
         edges.push((u, v));
-    }
-    if n > 0
-        && edges
-            .iter()
-            .any(|&(u, v)| u as usize >= n || v as usize >= n)
-    {
-        return Err(GraphError::Format("edge endpoint out of range".into()));
     }
     Ok(CsrGraph::from_edges(n, &edges))
 }
@@ -179,5 +184,29 @@ mod tests {
         write_binary(&g, &mut short).unwrap();
         short.truncate(short.len() - 2);
         assert!(read_binary(short.as_slice()).is_err());
+    }
+
+    /// A bare 24-byte header with the given vertex and edge counts.
+    fn header(n: u64, m: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&m.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn binary_rejects_headers_the_body_cannot_back() {
+        // u64::MAX edges announced, none present: EOF, not an allocation
+        let err = read_binary(header(4, u64::MAX).as_slice()).unwrap_err();
+        assert!(matches!(err, GraphError::Io(_)), "{err}");
+        // more vertices than u32 ids can name
+        let err = read_binary(header((1 << 32) + 1, 0).as_slice()).unwrap_err();
+        assert!(matches!(err, GraphError::Format(_)), "{err}");
+        // an edge on an empty vertex set
+        let mut bytes = header(0, 1);
+        bytes.extend_from_slice(&[0; 8]);
+        let err = read_binary(bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, GraphError::Format(_)), "{err}");
     }
 }

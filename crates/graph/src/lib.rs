@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Compact undirected-graph substrate for nucleus decompositions.
 //!

@@ -9,27 +9,28 @@
 //! the same layout works for a heap buffer today and an mmap'd file
 //! later.
 //!
-//! # Layout (version 1)
+//! # Layout (version 2)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"NUCINDX1"
 //!      8     8  file hash: [`hash64`] over the whole file with these
 //!               8 bytes zeroed (detects any single flipped byte)
-//!     16     4  format version (u32, currently 1)
+//!     16     4  format version (u32, currently 2)
 //!     20     4  r (u32)        — nucleus family parameter
 //!     24     4  s (u32)        — nucleus family parameter
 //!     28     4  arity (u32)    — words per record, C(s,r) - 1
 //!     32     8  n (u64)        — graph vertex count   ┐
-//!     40     8  m (u64)        — graph edge count     │ fingerprint
-//!     48     8  degree hash    — [`hash64`] of degrees┘
-//!     56     8  cells (u64)    — number of peeling cells
-//!     64     8  records (u64)  — total container records
-//!     72     4  section count (u32, currently 3)
-//!     76     4  reserved (u32, 0)
-//!     80    96  3 × 32-byte section entries:
+//!     40     8  m (u64)        — graph edge count     │
+//!     48     8  degree hash    — [`hash64`] of degrees│ fingerprint
+//!     56     8  edge hash      — [`edge_set_hash`]    ┘
+//!     64     8  cells (u64)    — number of peeling cells
+//!     72     8  records (u64)  — total container records
+//!     80     4  section count (u32, currently 3)
+//!     84     4  reserved (u32, 0)
+//!     88    96  3 × 32-byte section entries:
 //!               { tag u32, reserved u32, offset u64, len u64, hash u64 }
-//!    176     …  payload sections, 8-byte aligned, zero padding between
+//!    184     …  payload sections, 8-byte aligned, zero padding between
 //! ```
 //!
 //! Sections appear in tag order: `COUNTS` (cells × u32 ω counts),
@@ -45,10 +46,10 @@
 //! Adding a *new* section tag also bumps the version, because the
 //! section count is validated exactly.
 //!
-//! The fingerprint intentionally hashes only `(n, m, degree sequence)` —
-//! it catches vertex/edge count changes and any degree change, but a
-//! degree-preserving rewire produces the same fingerprint. Callers that
-//! need stronger guarantees should compare the graph files themselves.
+//! The fingerprint pins `(n, m)`, the degree sequence and the edge set
+//! itself, so a degree-preserving rewire (a double-edge swap) changes
+//! it too. The edge hash is a sum of per-edge hashes, which a deliberate
+//! collision could defeat; it guards against stale files, not forgery.
 
 use std::io::Write;
 use std::path::Path;
@@ -60,9 +61,9 @@ use crate::flat::{FlatRecords, FlatRecordsRef, MAX_ARITY};
 /// Magic bytes opening every persisted index file.
 pub const MAGIC: [u8; 8] = *b"NUCINDX1";
 /// Current format version; see the module docs for the bump rule.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed header length in bytes (magic through the section table).
-pub const HEADER_LEN: usize = 176;
+pub const HEADER_LEN: usize = 184;
 /// Byte range of the whole-file hash, zeroed while hashing.
 pub const FILE_HASH_RANGE: std::ops::Range<usize> = 8..16;
 
@@ -74,6 +75,8 @@ pub const SEC_OFFSETS: u32 = 2;
 pub const SEC_DATA: u32 = 3;
 const SECTION_COUNT: usize = 3;
 const SECTION_ENTRY_LEN: usize = 32;
+/// Offset of the section table.
+const SECTION_TABLE: usize = 88;
 
 /// The dependency-free checksum this format uses for both the whole
 /// file and each section: FNV-style multiply-xor over 8-byte
@@ -114,6 +117,8 @@ pub struct GraphFingerprint {
     pub m: u64,
     /// [`hash64`] over the little-endian `u32` degree sequence.
     pub degree_hash: u64,
+    /// [`edge_set_hash`] of the undirected edges.
+    pub edge_hash: u64,
 }
 
 /// Fingerprints `g` for index validation; see [`GraphFingerprint`].
@@ -126,7 +131,29 @@ pub fn graph_fingerprint(g: &CsrGraph) -> GraphFingerprint {
         n: g.n() as u64,
         m: g.m() as u64,
         degree_hash: hash64(&bytes),
+        edge_hash: edge_set_hash(g.edge_endpoints().iter().copied()),
     }
+}
+
+/// Order-independent hash of an edge set, each edge given once as
+/// `(u, v)` with `u < v`: the wrapping sum of a mixed 64-bit hash of
+/// every edge. O(m) and sort-free, so a CSR graph and a mutable
+/// adjacency hash the same edges to the same value whatever order they
+/// visit them in. Changing this function is a format break: bump
+/// [`FORMAT_VERSION`].
+pub fn edge_set_hash(edges: impl IntoIterator<Item = (u32, u32)>) -> u64 {
+    edges.into_iter().fold(0u64, |sum, (u, v)| {
+        sum.wrapping_add(mix64((u64::from(u) << 32) | u64::from(v)))
+    })
+}
+
+/// The SplitMix64 output function: a bijection of `u64` that spreads
+/// every input bit over the whole word.
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Parsed fixed header of an index file.
@@ -152,7 +179,7 @@ fn pad8(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
-/// Encodes `flat` (plus its per-cell counts) into the version-1 byte
+/// Encodes `flat` (plus its per-cell counts) into the version-2 byte
 /// image for the `(r, s)` family of a graph with fingerprint `fp`.
 pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) -> Vec<u8> {
     let cells = flat.cells();
@@ -187,15 +214,16 @@ pub fn encode_index(r: u32, s: u32, fp: GraphFingerprint, flat: &FlatRecords) ->
     buf[32..40].copy_from_slice(&fp.n.to_le_bytes());
     buf[40..48].copy_from_slice(&fp.m.to_le_bytes());
     buf[48..56].copy_from_slice(&fp.degree_hash.to_le_bytes());
-    buf[56..64].copy_from_slice(&(cells as u64).to_le_bytes());
-    buf[64..72].copy_from_slice(&(records as u64).to_le_bytes());
-    buf[72..76].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
-    // bytes 76..80 reserved, zero
+    buf[56..64].copy_from_slice(&fp.edge_hash.to_le_bytes());
+    buf[64..72].copy_from_slice(&(cells as u64).to_le_bytes());
+    buf[72..80].copy_from_slice(&(records as u64).to_le_bytes());
+    buf[80..84].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
+    // bytes 84..88 reserved, zero
 
     let mut cursor = HEADER_LEN;
     for (i, (tag, body)) in sections.iter().enumerate() {
         cursor = pad8(cursor);
-        let e = 80 + i * SECTION_ENTRY_LEN;
+        let e = SECTION_TABLE + i * SECTION_ENTRY_LEN;
         buf[e..e + 4].copy_from_slice(&tag.to_le_bytes());
         // entry reserved u32 stays zero
         buf[e + 8..e + 16].copy_from_slice(&(cursor as u64).to_le_bytes());
@@ -256,7 +284,7 @@ fn bad(msg: impl Into<String>) -> GraphError {
 }
 
 impl IndexImage {
-    /// Validates `buf` as a version-1 index image and takes ownership.
+    /// Validates `buf` as a version-2 index image and takes ownership.
     ///
     /// Returns [`GraphError::Format`] (or [`GraphError::Records`] from
     /// the flat-record validator) on any violation — truncation, bad
@@ -312,9 +340,10 @@ impl IndexImage {
                 n: u64_at(32),
                 m: u64_at(40),
                 degree_hash: u64_at(48),
+                edge_hash: u64_at(56),
             },
-            cells: u64_at(56),
-            records: u64_at(64),
+            cells: u64_at(64),
+            records: u64_at(72),
         };
         if header.r == 0 || header.r >= header.s {
             return Err(bad(format!(
@@ -328,7 +357,7 @@ impl IndexImage {
         if header.cells > u32::MAX as u64 {
             return Err(bad(format!("cell count {} exceeds u32 ids", header.cells)));
         }
-        let section_count = u32_at(72) as usize;
+        let section_count = u32_at(80) as usize;
         if section_count != SECTION_COUNT {
             return Err(bad(format!(
                 "expected {SECTION_COUNT} sections, header says {section_count}"
@@ -353,7 +382,7 @@ impl IndexImage {
         let mut ranges = [0..0, 0..0, 0..0];
         let mut prev_end = HEADER_LEN as u64;
         for i in 0..SECTION_COUNT {
-            let e = 80 + i * SECTION_ENTRY_LEN;
+            let e = SECTION_TABLE + i * SECTION_ENTRY_LEN;
             let tag = u32_at(e);
             if tag != expected_tags[i] {
                 return Err(bad(format!(
@@ -533,6 +562,15 @@ mod tests {
         let fp2 = graph_fingerprint(&g2);
         assert_ne!(fp, fp2);
         assert_ne!(fp.degree_hash, fp2.degree_hash);
+        // A double-edge swap keeps every degree but not the edge set.
+        let a = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
+        let b = CsrGraph::from_edges(4, &[(0, 2), (1, 3)]);
+        let (fa, fb) = (graph_fingerprint(&a), graph_fingerprint(&b));
+        assert_eq!(fa.degree_hash, fb.degree_hash);
+        assert_ne!(fa.edge_hash, fb.edge_hash);
+        // The edge hash ignores visiting order.
+        let reversed = g.edge_endpoints().iter().rev().copied();
+        assert_eq!(edge_set_hash(reversed), fp.edge_hash);
     }
 
     #[test]

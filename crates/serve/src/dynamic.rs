@@ -7,7 +7,9 @@
 //!   a mutex, fed by `mutate` requests (which batch, coalesce and
 //!   count ops exactly like [`DynamicGraph::apply`]);
 //! * the **current epoch** — an immutable [`ServeState`] prepared over
-//!   a snapshot of the source, behind an `RwLock<Arc<_>>`.
+//!   a [`CsrGraph`] snapshot of the source, behind an `RwLock<Arc<_>>`.
+//!   The epoch's session owns its snapshot, so dropping the last
+//!   handle on an epoch frees its graph too.
 //!
 //! Queries clone the current epoch's `Arc` under a read lock and
 //! answer from it lock-free, exactly as on an immutable server. A
@@ -34,34 +36,20 @@ use crate::engine::{QueryAnswerer, ServeState};
 use crate::protocol::{ErrorCode, ProtocolError, Query, Request};
 
 /// One immutable generation of the served space.
-///
-/// Drop order is load-bearing: `state` borrows `_graph` (see
-/// [`Epoch::build`]), so `state` is declared first and therefore
-/// dropped first.
 struct Epoch {
-    state: ServeState<'static>,
+    state: ServeState,
     epoch: u64,
-    _graph: Box<CsrGraph>,
 }
 
 impl Epoch {
     /// Prepares a fresh epoch over `graph`.
-    ///
-    /// The `'static` is a private fiction: `state` really borrows the
-    /// boxed graph, whose heap address is stable and which outlives
-    /// `state` by field order. Neither field is ever moved out or
-    /// replaced, and the borrow never escapes the `Epoch` (queries
-    /// go through `&self.state`), so the unsafe lifetime extension
-    /// cannot dangle.
     fn build(
-        graph: CsrGraph,
+        graph: &CsrGraph,
         epoch: u64,
         kind: Kind,
         default_algo: Option<Algorithm>,
     ) -> Result<Epoch, ProtocolError> {
-        let boxed = Box::new(graph);
-        let gref: &'static CsrGraph = unsafe { &*(boxed.as_ref() as *const CsrGraph) };
-        let prepared = Nucleus::builder(gref)
+        let prepared = Nucleus::builder(graph)
             .kind(kind)
             .prepare()
             .map_err(|e| ProtocolError::new(ErrorCode::Internal, e.to_string()))?;
@@ -69,11 +57,7 @@ impl Epoch {
         if let Some(algo) = default_algo {
             state = state.with_default_algo(algo);
         }
-        Ok(Epoch {
-            state,
-            epoch,
-            _graph: boxed,
-        })
+        Ok(Epoch { state, epoch })
     }
 }
 
@@ -89,13 +73,13 @@ pub struct DynamicServeState {
 }
 
 impl DynamicServeState {
-    /// Prepares epoch 0 over a snapshot of `g` for `kind`.
+    /// Prepares epoch 0 over `g` for `kind`.
     ///
     /// # Errors
     /// [`ProtocolError`] with [`ErrorCode::Internal`] when the initial
     /// prepare fails.
     pub fn new(g: &CsrGraph, kind: Kind) -> Result<DynamicServeState, ProtocolError> {
-        let epoch = Epoch::build(g.clone(), 0, kind, None)?;
+        let epoch = Epoch::build(g, 0, kind, None)?;
         Ok(DynamicServeState {
             kind,
             default_algo: None,
@@ -145,7 +129,7 @@ impl DynamicServeState {
         let t0 = Instant::now();
         let epoch = if rebuilt {
             let next = self.epoch_handle().epoch + 1;
-            let fresh = Epoch::build(source.to_graph(), next, self.kind, self.default_algo)?;
+            let fresh = Epoch::build(&source.to_graph(), next, self.kind, self.default_algo)?;
             *self.current.write().expect("epoch lock poisoned") = Arc::new(fresh);
             next
         } else {

@@ -66,18 +66,18 @@ type DensestSlot = OnceLock<Result<DensestAnswer, ProtocolError>>;
 
 /// Shared immutable query state: a prepared space plus per-algorithm
 /// hierarchy and densest-node caches.
-pub struct ServeState<'g> {
-    prepared: Prepared<'g>,
+pub struct ServeState {
+    prepared: Prepared,
     /// Set in place by [`crate::DynamicServeState::with_default_algo`].
     pub(crate) default_algo: Algorithm,
     hierarchies: [HierarchySlot; Algorithm::ALL.len()],
     densest: [DensestSlot; Algorithm::ALL.len()],
 }
 
-impl<'g> ServeState<'g> {
+impl ServeState {
     /// Wraps a prepared session. The default algorithm is FND (the
     /// paper's fastest construction, supported by every kind).
-    pub fn new(prepared: Prepared<'g>) -> ServeState<'g> {
+    pub fn new(prepared: Prepared) -> ServeState {
         ServeState {
             prepared,
             default_algo: Algorithm::Fnd,
@@ -93,7 +93,7 @@ impl<'g> ServeState<'g> {
     }
 
     /// The wrapped prepared session.
-    pub fn prepared(&self) -> &Prepared<'g> {
+    pub fn prepared(&self) -> &Prepared {
         &self.prepared
     }
 
@@ -385,7 +385,7 @@ impl<'g> ServeState<'g> {
     }
 }
 
-impl QueryAnswerer for ServeState<'_> {
+impl QueryAnswerer for ServeState {
     fn answer(&self, req: &Request) -> Result<Value, ProtocolError> {
         ServeState::answer(self, req)
     }
@@ -395,7 +395,7 @@ impl QueryAnswerer for ServeState<'_> {
     }
 }
 
-impl std::fmt::Debug for ServeState<'_> {
+impl std::fmt::Debug for ServeState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeState")
             .field("kind", &self.prepared.kind())

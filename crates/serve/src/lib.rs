@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # nucleus-serve — a concurrent query service over prepared spaces
 //!
@@ -8,7 +9,7 @@
 //! densest subgraph the decomposition found. This crate provides that
 //! layer, in two pieces:
 //!
-//! * **[`ServeState`]** — the query engine. Wraps a
+//! * **[`ServeState`]** — the query engine. Owns a
 //!   [`Prepared`](nucleus_core::Prepared) session, lazily runs each
 //!   hierarchy algorithm at most once (cached as `Arc<Hierarchy>`
 //!   behind a `OnceLock`), and answers typed requests — λ lookups,

@@ -7,6 +7,8 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
+use nucleus_core::peel::peel_reference;
+use nucleus_core::space::{EdgeSpace, PeelBackend, TriangleSpace, VertexSpace};
 use nucleus_core::{Algorithm, Kind, Nucleus, Prepared};
 use nucleus_gen as gen;
 use nucleus_graph::CsrGraph;
@@ -16,14 +18,14 @@ use nucleus_serve::{
 use rand::{Rng, SeedableRng};
 use serde::Value;
 
-fn prepared(g: &CsrGraph, kind: Kind) -> Prepared<'_> {
+fn prepared(g: &CsrGraph, kind: Kind) -> Prepared {
     Nucleus::builder(g).kind(kind).prepare().unwrap()
 }
 
 /// Renders the response the library itself would give for `line`:
 /// exactly the server's dispatch for every non-`stats`/`shutdown`
 /// request (those two depend on live server state).
-fn direct_answer(state: &ServeState<'_>, line: &str) -> String {
+fn direct_answer(state: &ServeState, line: &str) -> String {
     match Request::parse(line) {
         Err(e) => err_response(None, &e),
         Ok(req) => match state.answer(&req) {
@@ -150,6 +152,130 @@ fn density_answers_match_the_definition() {
             assert_eq!(v.field("edges").unwrap(), &Value::U64(e), "{kind}");
             assert_eq!(v.field("density").unwrap(), &Value::F64(d), "{kind}");
         }
+    }
+}
+
+/// The s-connected components of the cells with λ ≥ `k`, from the
+/// definition of a k-(r,s) nucleus: two such cells are connected when
+/// a container (an s-clique) holds both and every cell of it has
+/// λ ≥ `k`. Returns the sorted components and, per cell, the index of
+/// its component (`usize::MAX` below `k`).
+fn components_at<B: PeelBackend>(space: &B, lambda: &[u32], k: u32) -> (Vec<Vec<u32>>, Vec<usize>) {
+    let mut of = vec![usize::MAX; lambda.len()];
+    let mut comps = Vec::new();
+    for start in 0..lambda.len() {
+        if lambda[start] < k || of[start] != usize::MAX {
+            continue;
+        }
+        let id = comps.len();
+        of[start] = id;
+        let mut comp = vec![start as u32];
+        let mut next = 0;
+        while next < comp.len() {
+            let cell = comp[next];
+            next += 1;
+            space.for_each_container(cell, |others| {
+                if others.iter().all(|&o| lambda[o as usize] >= k) {
+                    for &o in others {
+                        if of[o as usize] == usize::MAX {
+                            of[o as usize] = id;
+                            comp.push(o);
+                        }
+                    }
+                }
+            });
+        }
+        comp.sort_unstable();
+        comps.push(comp);
+    }
+    (comps, of)
+}
+
+fn u64_field(v: &Value, name: &str) -> u64 {
+    match v.field(name) {
+        Ok(Value::U64(x)) => *x,
+        other => panic!("field {name}: {other:?}"),
+    }
+}
+
+/// Served `members` of every node and `nuclei_of` of every cell
+/// against the s-connected components of [`components_at`], with λ
+/// from the brute-force peel.
+fn check_membership<B: PeelBackend>(g: &CsrGraph, kind: Kind, space: &B) {
+    let state = ServeState::new(prepared(g, kind));
+    let ask = |line: String| state.answer(&Request::parse(&line).unwrap()).unwrap();
+    let lambda = peel_reference(space);
+    let cells = lambda.len();
+    let max_lambda = lambda.iter().copied().max().unwrap_or(0);
+    let levels: Vec<_> = (0..=max_lambda)
+        .map(|k| components_at(space, &lambda, k))
+        .collect();
+    // Member cells of every node, each checked against its level.
+    let nodes = state.hierarchy(Algorithm::Fnd).unwrap().len();
+    let mut members = Vec::with_capacity(nodes);
+    for node in 0..nodes {
+        let v = ask(format!(
+            r#"{{"query":"members","node":{node},"limit":{cells}}}"#
+        ));
+        let k = u64_field(&v, "lambda") as u32;
+        let Ok(Value::Array(listed)) = v.field("cells") else {
+            panic!("members of {node}: {v:?}");
+        };
+        let mut got: Vec<u32> = listed
+            .iter()
+            .map(|c| match c {
+                Value::U64(c) => *c as u32,
+                other => panic!("cell {other:?}"),
+            })
+            .collect();
+        got.sort_unstable();
+        let label = format!("{kind} n={} node {node} (λ={k})", g.n());
+        if node == 0 {
+            // the root is the whole graph
+            assert_eq!(k, 0, "{label}");
+            assert_eq!(got, (0..cells as u32).collect::<Vec<_>>(), "{label}");
+        } else {
+            let (comps, of) = &levels[k as usize];
+            let comp = &comps[of[got[0] as usize]];
+            assert_eq!(&got, comp, "{label}");
+        }
+        members.push(got);
+    }
+    // The chain of every cell: exactly the distinct components holding
+    // it, innermost first, then the root.
+    for cell in 0..cells as u32 {
+        let v = ask(format!(r#"{{"query":"nuclei_of","cell":{cell}}}"#));
+        assert_eq!(u64_field(&v, "lambda"), u64::from(lambda[cell as usize]));
+        let Ok(Value::Array(chain)) = v.field("chain") else {
+            panic!("nuclei_of {cell}: {v:?}");
+        };
+        let served: Vec<&Vec<u32>> = chain
+            .iter()
+            .map(|entry| &members[u64_field(entry, "node") as usize])
+            .collect();
+        let mut expected: Vec<&Vec<u32>> = Vec::new();
+        for k in (1..=lambda[cell as usize]).rev() {
+            let (comps, of) = &levels[k as usize];
+            let comp = &comps[of[cell as usize]];
+            if expected.last() != Some(&comp) {
+                expected.push(comp);
+            }
+        }
+        expected.push(&members[0]);
+        assert_eq!(served, expected, "{kind} n={} cell {cell}", g.n());
+    }
+}
+
+/// Served membership against the definition of a k-(r,s) nucleus, on
+/// karate and a small R-MAT graph, for (1,2), (2,3) and (3,4).
+#[test]
+fn membership_answers_match_s_connected_components() {
+    let karate = gen::karate::karate_club();
+    let rmat = gen::rmat::rmat(7, 8, gen::rmat::RmatParams::skewed(), 3);
+    for g in [&karate, &rmat] {
+        check_membership(g, Kind::Core, &VertexSpace::new(g));
+        check_membership(g, Kind::Truss, &EdgeSpace::new(g));
+        check_membership(g, Kind::Nucleus34, &TriangleSpace::new(g));
     }
 }
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for `criterion`.
 //!
 //! Supports the benchmarking surface this workspace's benches use:

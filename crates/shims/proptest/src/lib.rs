@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for `proptest`.
 //!
 //! Implements the slice of the proptest API this workspace's property

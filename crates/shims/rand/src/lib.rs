@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for the `rand` crate.
 //!
 //! This workspace builds in environments with no access to crates.io, so

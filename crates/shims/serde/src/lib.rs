@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for `serde`.
 //!
 //! The workspace builds without network access, so the serialization

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for `serde_derive`.
 //!
 //! Provides `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Offline stand-in for `serde_json`.
 //!
 //! Converts between the shim [`serde::Value`] tree and JSON text:
