@@ -9,8 +9,12 @@
 //! * `enumerate-serial/-tN` — the enumeration kernel feeding ω degrees:
 //!   `edge_supports` for (2,3), `TriangleList::build` for (3,4)
 //!   (`-tN` is the bit-identical two-pass parallel twin);
-//! * `index-build-serial/-tN` ((3,4) only) — the edge→thirds
-//!   [`TriangleIndex`] over a pre-built triangle list;
+//! * `index-build-serial/-tN` — for (3,4), the edge→thirds
+//!   [`TriangleIndex`] over a pre-built triangle list; for (2,3), the
+//!   session's [`ContainerIndex`] over supports already in hand (the
+//!   oriented triangle sweep, its orientation included: a session
+//!   shares that orientation with the support count, so
+//!   `prepare-total` pays for it once);
 //! * `degrees-serial/-tN` ((3,4) only) — per-triangle K4 degrees;
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
 //!   Figure 6 rows, unchanged in meaning;
@@ -163,6 +167,18 @@ fn bench_phases_truss(c: &mut Criterion) {
                 b.iter(|| edge_supports_parallel(g, tn).len());
             },
         );
+        let es = EdgeSpace::new(g);
+        es.degrees();
+        group.bench_with_input(BenchmarkId::new("index-build-serial", name), g, |b, _| {
+            b.iter(|| ContainerIndex::build(&es, 1).container_count());
+        });
+        group.bench_with_input(
+            BenchmarkId::new(format!("index-build-t{tn}"), name),
+            g,
+            |b, _| {
+                b.iter(|| ContainerIndex::build(&es, tn).container_count());
+            },
+        );
         // Figure 6 rows: peel alone, DFT post alone, FND end-to-end.
         group.bench_with_input(BenchmarkId::new("peel-only", name), g, |b, g| {
             b.iter(|| {
@@ -170,7 +186,6 @@ fn bench_phases_truss(c: &mut Criterion) {
                 peel(&es).max_lambda
             });
         });
-        let es = EdgeSpace::new(g);
         let p = peel(&es);
         group.bench_with_input(BenchmarkId::new("dft-post-only", name), g, |b, _| {
             b.iter(|| dft(&es, &p).0.nucleus_count());

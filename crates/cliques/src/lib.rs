@@ -8,7 +8,8 @@
 //! provides:
 //!
 //! * [`triangles`] — oriented triangle enumeration (degeneracy-ordered,
-//!   the standard `O(m · degeneracy)` scheme), per-edge support counts,
+//!   the standard `O(m · degeneracy)` scheme) through the public
+//!   [`triangles::OrientedAdjacency`] kernel, per-edge support counts,
 //!   and a materialized [`TriangleList`];
 //! * [`triangle_index`] — [`TriangleIndex`], a per-edge CSR of
 //!   `(third-vertex, triangle-id)` pairs enabling `O(log deg)` triangle

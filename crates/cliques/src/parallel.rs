@@ -8,7 +8,7 @@ use nucleus_graph::CsrGraph;
 
 use crate::four_cliques::{intersect3_sorted, k4_degree_of_edge};
 use crate::triangle_index::TriangleIndex;
-use crate::triangles::{for_each_triangle_from, OrientedAdjacency, TriangleList};
+use crate::triangles::{OrientedAdjacency, TriangleList};
 
 /// Splits `0..weights.len()` into at most `parts` contiguous ranges of
 /// approximately equal total weight (`weights[i]` per item). The ranges
@@ -106,24 +106,14 @@ pub fn fill_ranges_pair_scoped<A, B, W>(
 /// Counts triangles using `threads` worker threads.
 pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
     let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        // enumeration cost at u is ~ Σ_{v ∈ out(u)} (|out(u)| + |out(v)|);
-        // |out(u)|² is a serviceable proxy
-        .map(|u| {
-            let d = oriented.out(u).len();
-            d * d + d
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
+    let ranges = balanced_ranges(&oriented.sweep_weights(), threads);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(ranges.len());
         for range in ranges {
             let oriented = &oriented;
             handles.push(scope.spawn(move || {
                 let mut count = 0u64;
-                for u in range {
-                    for_each_triangle_from(oriented, u as u32, &mut |_, _, _, _, _, _| count += 1);
-                }
+                oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| count += 1);
                 count
             }));
         }
@@ -134,60 +124,10 @@ pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
     })
 }
 
-/// Computes per-edge triangle supports using `threads` worker threads.
-/// Each worker accumulates into a private array; partials are summed at
-/// the end (no atomics on the hot path).
+/// Computes per-edge triangle supports using `threads` worker threads
+/// ([`OrientedAdjacency::edge_supports`] over a fresh orientation).
 pub fn edge_supports_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        .map(|u| {
-            let d = oriented.out(u).len();
-            d * d + d
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
-    let m = g.m();
-    let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let oriented = &oriented;
-            handles.push(scope.spawn(move || {
-                let mut support = vec![0u32; m];
-                for u in range {
-                    let out_u = oriented.out(u as u32);
-                    for &(v, e_uv) in out_u {
-                        let out_v = oriented.out(v);
-                        let (mut i, mut j) = (0usize, 0usize);
-                        while i < out_u.len() && j < out_v.len() {
-                            match out_u[i].0.cmp(&out_v[j].0) {
-                                std::cmp::Ordering::Less => i += 1,
-                                std::cmp::Ordering::Greater => j += 1,
-                                std::cmp::Ordering::Equal => {
-                                    support[e_uv as usize] += 1;
-                                    support[out_u[i].1 as usize] += 1;
-                                    support[out_v[j].1 as usize] += 1;
-                                    i += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                support
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut total = vec![0u32; m];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    total
+    OrientedAdjacency::build(g).edge_supports(threads)
 }
 
 /// Computes per-triangle K4 degrees using `threads` worker threads —
@@ -225,13 +165,7 @@ pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) ->
 /// Same private-partials-then-sum scheme as [`edge_supports_parallel`].
 pub fn vertex_triangle_counts_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
     let oriented = OrientedAdjacency::build(g);
-    let weights: Vec<usize> = (0..g.n() as u32)
-        .map(|u| {
-            let d = oriented.out(u).len();
-            d * d + d
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
+    let ranges = balanced_ranges(&oriented.sweep_weights(), threads);
     let n = g.n();
     let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
@@ -240,13 +174,11 @@ pub fn vertex_triangle_counts_parallel(g: &CsrGraph, threads: usize) -> Vec<u32>
                 let oriented = &oriented;
                 scope.spawn(move || {
                     let mut deg = vec![0u32; n];
-                    for u in range {
-                        for_each_triangle_from(oriented, u as u32, &mut |a, b, c, _, _, _| {
-                            deg[a as usize] += 1;
-                            deg[b as usize] += 1;
-                            deg[c as usize] += 1;
-                        });
-                    }
+                    oriented.for_each_triangle_in(range, &mut |a, b, c, _, _, _| {
+                        deg[a as usize] += 1;
+                        deg[b as usize] += 1;
+                        deg[c as usize] += 1;
+                    });
                     deg
                 })
             })

@@ -7,14 +7,20 @@ use nucleus_graph::CsrGraph;
 /// `(neighbor, edge_id)` pairs of neighbors with *higher* rank, sorted by
 /// neighbor id. Orienting by a degeneracy order bounds out-degrees by the
 /// degeneracy, which caps triangle enumeration at `O(m · degeneracy)`.
-pub(crate) struct OrientedAdjacency {
+///
+/// This is the kernel every triangle sweep in the workspace runs: build
+/// it once, then call [`OrientedAdjacency::for_each_triangle_in`] over
+/// all vertices, or over [`crate::balanced_ranges`] of
+/// [`OrientedAdjacency::sweep_weights`] on worker threads.
+pub struct OrientedAdjacency {
     offsets: Vec<usize>,
     /// (neighbor, undirected edge id), sorted by neighbor within a vertex.
     arcs: Vec<(u32, u32)>,
 }
 
 impl OrientedAdjacency {
-    pub(crate) fn build(g: &CsrGraph) -> Self {
+    /// Orients `g` by its degeneracy order.
+    pub fn build(g: &CsrGraph) -> Self {
         let (order, _) = degeneracy_order(g);
         let rank = &order.rank;
         let n = g.n();
@@ -47,40 +53,107 @@ impl OrientedAdjacency {
         OrientedAdjacency { offsets, arcs }
     }
 
+    /// The `(neighbor, edge_id)` arcs from `v` to its higher-rank
+    /// neighbors, sorted by neighbor id.
     #[inline]
-    pub(crate) fn out(&self, v: u32) -> &[(u32, u32)] {
+    fn out(&self, v: u32) -> &[(u32, u32)] {
         &self.arcs[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
-}
 
-/// Calls `f(u, v, w, e_uv, e_uw, e_vw)` for every triangle whose
-/// lowest-rank (orientation-wise first) vertex is `u` — the inner loop of
-/// the full sweep, exposed so parallel builders can enumerate disjoint
-/// vertex ranges in the exact order of the serial sweep.
-#[inline]
-pub(crate) fn for_each_triangle_from<F: FnMut(u32, u32, u32, u32, u32, u32)>(
-    oriented: &OrientedAdjacency,
-    u: u32,
-    f: &mut F,
-) {
-    let out_u = oriented.out(u);
-    for &(v, e_uv) in out_u {
-        let out_v = oriented.out(v);
-        // Sorted-list intersection of out(u) and out(v).
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < out_u.len() && j < out_v.len() {
-            let (a, e_uw) = out_u[i];
-            let (b, e_vw) = out_v[j];
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    f(u, v, a, e_uv, e_uw, e_vw);
-                    i += 1;
-                    j += 1;
+    /// Per-vertex cost proxy of [`OrientedAdjacency::for_each_triangle_in`]:
+    /// the work at `u` is ~ |out(u)| + Σ_{v ∈ out(u)} |out(v)|, and
+    /// `|out(u)|² + |out(u)|` is a serviceable stand-in. Parallel sweeps
+    /// split vertices with [`crate::balanced_ranges`] over these weights.
+    pub fn sweep_weights(&self) -> Vec<usize> {
+        self.offsets
+            .windows(2)
+            .map(|w| {
+                let d = w[1] - w[0];
+                d * d + d
+            })
+            .collect()
+    }
+
+    /// Calls `f(u, v, w, e_uv, e_uw, e_vw)` for every triangle whose
+    /// lowest-rank (orientation-wise first) vertex `u` lies in
+    /// `vertices`, vertex by vertex — the full sweep over `0..n`, or one
+    /// worker's share of it: parallel builders enumerate disjoint vertex
+    /// ranges in the exact order of the serial sweep.
+    ///
+    /// For each `u`, the edge ids of `out(u)` are marked in a scratch
+    /// array indexed by vertex, and each `v ∈ out(u)` scans `out(v)`
+    /// against the marks. That yields the common `w` of `out(u)` and
+    /// `out(v)` in ascending id order, exactly as a sorted-list merge
+    /// would, with one predictable branch per step instead of the
+    /// merge's three-way compare.
+    pub fn for_each_triangle_in<F: FnMut(u32, u32, u32, u32, u32, u32)>(
+        &self,
+        vertices: std::ops::Range<usize>,
+        f: &mut F,
+    ) {
+        // mark[w] = id of the arc u → w while `u` is swept, else NONE.
+        // Edge ids are below `m ≤ u32::MAX`, so NONE never collides.
+        const NONE: u32 = u32::MAX;
+        let mut mark = vec![NONE; self.offsets.len() - 1];
+        for u in vertices {
+            let u = u as u32;
+            let out_u = self.out(u);
+            for &(w, e_uw) in out_u {
+                mark[w as usize] = e_uw;
+            }
+            for &(v, e_uv) in out_u {
+                for &(w, e_vw) in self.out(v) {
+                    let e_uw = mark[w as usize];
+                    if e_uw != NONE {
+                        f(u, v, w, e_uv, e_uw, e_vw);
+                    }
                 }
             }
+            for &(w, _) in out_u {
+                mark[w as usize] = NONE;
+            }
         }
+    }
+
+    /// Per-edge triangle counts (the *support* peeled by the (2,3)
+    /// decomposition), indexed by edge id, on up to `threads` worker
+    /// threads. Each worker sweeps a [`crate::balanced_ranges`] share of
+    /// the vertices into a private array; partials are summed at the end
+    /// (no atomics on the hot path), so every thread count gives the
+    /// same counts.
+    pub fn edge_supports(&self, threads: usize) -> Vec<u32> {
+        // Every undirected edge is exactly one oriented arc.
+        let m = self.arcs.len();
+        let count = |range: std::ops::Range<usize>| {
+            let mut support = vec![0u32; m];
+            self.for_each_triangle_in(range, &mut |_, _, _, e1, e2, e3| {
+                support[e1 as usize] += 1;
+                support[e2 as usize] += 1;
+                support[e3 as usize] += 1;
+            });
+            support
+        };
+        if threads <= 1 {
+            return count(0..self.offsets.len() - 1);
+        }
+        let ranges = crate::parallel::balanced_ranges(&self.sweep_weights(), threads);
+        let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|range| scope.spawn(|| count(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        let mut total = vec![0u32; m];
+        for partial in partials {
+            for (t, p) in total.iter_mut().zip(partial) {
+                *t += p;
+            }
+        }
+        total
     }
 }
 
@@ -90,10 +163,7 @@ pub(crate) fn for_each_triangle_from<F: FnMut(u32, u32, u32, u32, u32, u32)>(
 /// the three edge ids always correspond to the pairs named in the
 /// signature.
 pub fn for_each_triangle<F: FnMut(u32, u32, u32, u32, u32, u32)>(g: &CsrGraph, mut f: F) {
-    let oriented = OrientedAdjacency::build(g);
-    for u in 0..g.n() as u32 {
-        for_each_triangle_from(&oriented, u, &mut f);
-    }
+    OrientedAdjacency::build(g).for_each_triangle_in(0..g.n(), &mut f);
 }
 
 /// Number of triangles in `g`.
@@ -106,13 +176,7 @@ pub fn triangle_count(g: &CsrGraph) -> u64 {
 /// Per-edge triangle counts (the *support* peeled by the (2,3)
 /// decomposition), indexed by edge id.
 pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
-    let mut support = vec![0u32; g.m()];
-    for_each_triangle(g, |_, _, _, e1, e2, e3| {
-        support[e1 as usize] += 1;
-        support[e2 as usize] += 1;
-        support[e3 as usize] += 1;
-    });
-    support
+    OrientedAdjacency::build(g).edge_supports(1)
 }
 
 /// Per-vertex triangle counts (the degrees peeled by the (1,3)
@@ -189,8 +253,8 @@ impl TriangleList {
     /// same dense ids.
     ///
     /// Two passes over the oriented adjacency: per-range triangle counts
-    /// over [`crate::balanced_ranges`] (weighted by out-degree like
-    /// [`crate::parallel::triangle_count_parallel`]), an exclusive
+    /// over [`crate::balanced_ranges`] of
+    /// [`OrientedAdjacency::sweep_weights`], an exclusive
     /// prefix sum, then a scoped fill of each range's disjoint chunk in
     /// the serial sweep's vertex-major order.
     pub fn build_with_threads(g: &CsrGraph, threads: usize) -> Self {
@@ -198,13 +262,7 @@ impl TriangleList {
             return Self::build(g);
         }
         let oriented = OrientedAdjacency::build(g);
-        let weights: Vec<usize> = (0..g.n() as u32)
-            .map(|u| {
-                let d = oriented.out(u).len();
-                d * d + d
-            })
-            .collect();
-        let ranges = crate::parallel::balanced_ranges(&weights, threads);
+        let ranges = crate::parallel::balanced_ranges(&oriented.sweep_weights(), threads);
         // Pass 1: triangles per range.
         let counts: Vec<usize> = std::thread::scope(|scope| {
             let handles: Vec<_> = ranges
@@ -214,11 +272,7 @@ impl TriangleList {
                     let oriented = &oriented;
                     scope.spawn(move || {
                         let mut c = 0usize;
-                        for u in range {
-                            for_each_triangle_from(oriented, u as u32, &mut |_, _, _, _, _, _| {
-                                c += 1
-                            });
-                        }
+                        oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| c += 1);
                         c
                     })
                 })
@@ -240,18 +294,12 @@ impl TriangleList {
             &counts,
             |range, vs_chunk, es_chunk| {
                 let mut pos = 0usize;
-                for u in range {
-                    for_each_triangle_from(
-                        &oriented,
-                        u as u32,
-                        &mut |a, b, c, e_ab, e_ac, e_bc| {
-                            let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-                            vs_chunk[pos] = vs;
-                            es_chunk[pos] = es;
-                            pos += 1;
-                        },
-                    );
-                }
+                oriented.for_each_triangle_in(range, &mut |a, b, c, e_ab, e_ac, e_bc| {
+                    let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                    vs_chunk[pos] = vs;
+                    es_chunk[pos] = es;
+                    pos += 1;
+                });
                 assert_eq!(pos, vs_chunk.len(), "count pass must match fill pass");
             },
         );
@@ -343,6 +391,45 @@ mod tests {
         assert!(TriangleList::build_with_threads(&g, 4).is_empty());
         let g = CsrGraph::from_edges(0, &[]);
         assert!(TriangleList::build_with_threads(&g, 4).is_empty());
+    }
+
+    /// The marked scan emits the triangles of a sorted-list merge of
+    /// `out(u)` and `out(v)`, in the merge's order.
+    #[test]
+    fn marked_sweep_matches_merge_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let edges: Vec<(u32, u32)> = (0..3000)
+            .map(|_| (rng.gen_range(0..200u32), rng.gen_range(0..200u32)))
+            .collect();
+        for g in [k5(), CsrGraph::from_edges(200, &edges)] {
+            let o = OrientedAdjacency::build(&g);
+            let mut merged = vec![];
+            for u in 0..g.n() as u32 {
+                for &(v, e_uv) in o.out(u) {
+                    let (out_u, out_v) = (o.out(u), o.out(v));
+                    let (mut i, mut j) = (0, 0);
+                    while i < out_u.len() && j < out_v.len() {
+                        match out_u[i].0.cmp(&out_v[j].0) {
+                            std::cmp::Ordering::Less => i += 1,
+                            std::cmp::Ordering::Greater => j += 1,
+                            std::cmp::Ordering::Equal => {
+                                merged.push([u, v, out_u[i].0, e_uv, out_u[i].1, out_v[j].1]);
+                                i += 1;
+                                j += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let mut swept = vec![];
+            o.for_each_triangle_in(0..g.n(), &mut |a, b, c, d, e, f| {
+                swept.push([a, b, c, d, e, f])
+            });
+            assert_eq!(swept, merged);
+            assert_eq!(swept.len() as u64, triangle_count(&g));
+        }
     }
 
     #[test]

@@ -195,14 +195,16 @@ impl NucleusBuilder {
             (OnceLock::new(), "explicitly requested".to_string(), None)
         } else {
             with_space!(space, s => {
-                let counts = s.degrees();
-                let containers: u64 = counts.iter().map(|&c| c as u64).sum();
-                let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), &counts);
-                let (materialize, reason) = resolve_backend(options.backend, est);
-                let index =
-                    materialize.then(|| ContainerIndex::build_with_counts(s, counts, threads));
                 let facts = OnceLock::new();
-                let _ = facts.set((containers, est));
+                let mut reason = String::new();
+                let index = s.container_index(threads, |counts| {
+                    let containers: u64 = counts.iter().map(|&c| c as u64).sum();
+                    let est = ContainerIndex::estimate_bytes_from(s.r(), s.s(), counts);
+                    let _ = facts.set((containers, est));
+                    let (materialize, why) = resolve_backend(options.backend, est);
+                    reason = why;
+                    materialize
+                });
                 (facts, reason, index)
             })
         };

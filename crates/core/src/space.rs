@@ -85,6 +85,28 @@ pub trait PeelSpace: PeelBackend {
     fn name(&self) -> String {
         format!("({},{})", self.r(), self.s())
     }
+
+    /// Computes the ω counts (what [`PeelBackend::degrees`] returns),
+    /// hands them to `decide`, and builds this space's
+    /// [`ContainerIndex`] on up to `threads` worker threads when it
+    /// returns `true` (`None` otherwise) — the materialize decision and
+    /// the index build share one enumeration setup.
+    ///
+    /// The default fills cell by cell through
+    /// [`PeelBackend::for_each_container`]
+    /// ([`ContainerIndex::build_per_cell`]). A space with a cheaper
+    /// whole-graph enumeration overrides it, as [`EdgeSpace`] does with
+    /// one triangle sweep that reuses the orientation its support count
+    /// built; the override must produce the same records in the same
+    /// order.
+    fn container_index<F>(&self, threads: usize, decide: F) -> Option<ContainerIndex>
+    where
+        Self: Sized + Sync,
+        F: FnOnce(&[u32]) -> bool,
+    {
+        let counts = self.degrees();
+        decide(&counts).then(|| ContainerIndex::build_per_cell(self, counts, threads))
+    }
 }
 
 pub mod edge;

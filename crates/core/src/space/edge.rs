@@ -3,16 +3,24 @@
 
 use std::sync::OnceLock;
 
-use nucleus_cliques::parallel::edge_supports_parallel;
-use nucleus_cliques::triangles::edge_supports;
+use nucleus_cliques::triangles::OrientedAdjacency;
+use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
+use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
 use nucleus_graph::CsrGraph;
 
-use super::{PeelBackend, PeelSpace};
+use super::{ContainerIndex, PeelBackend, PeelSpace};
 
 /// The triangle peeling space over a graph: `ω₃(e)` = number of
-/// triangles through edge `e`. Containers of `e = {u, v}` are found by
-/// intersecting the sorted adjacency lists of `u` and `v`, yielding the
-/// two companion edge ids per triangle without hashing.
+/// triangles through edge `e`.
+///
+/// A lazy run finds the containers of `e = {u, v}` by intersecting the
+/// sorted adjacency lists of `u` and `v`, yielding the two companion
+/// edge ids per triangle without hashing. The materialized
+/// [`ContainerIndex`] does not run that merge per edge: it comes from
+/// one degeneracy-oriented triangle sweep, the same enumeration that
+/// counts the supports, which scatters each triangle into its three
+/// edges and orders every edge's records by third vertex — the order
+/// the merge emits.
 pub struct EdgeSpace {
     g: CsrGraph,
     supports: OnceLock<Vec<u32>>,
@@ -52,13 +60,7 @@ impl PeelBackend for EdgeSpace {
 
     fn degrees(&self) -> Vec<u32> {
         self.supports
-            .get_or_init(|| {
-                if self.threads <= 1 {
-                    edge_supports(&self.g)
-                } else {
-                    edge_supports_parallel(&self.g, self.threads)
-                }
-            })
+            .get_or_init(|| OrientedAdjacency::build(&self.g).edge_supports(self.threads))
             .clone()
     }
 
@@ -84,6 +86,95 @@ impl PeelBackend for EdgeSpace {
     }
 }
 
+/// The (2,3) container records from one oriented triangle sweep on up
+/// to `threads` worker threads, identical record for record to the
+/// per-cell merge of [`EdgeSpace::for_each_container`].
+///
+/// Two passes, neither with locks or atomics:
+/// 1. Workers enumerate the triangles of disjoint vertex ranges into one
+///    list each.
+/// 2. Workers each own a disjoint range of cells (a disjoint slice of
+///    the records) and read every list, keeping the records of their own
+///    cells: cell `{a, b}` (`a < b`) with third vertex `x` gets
+///    `[id(a, x), id(b, x)]`, the merge's layout. Each cell's records are
+///    then sorted by `x`, the order the merge emits, so the result does
+///    not depend on the thread count.
+fn sweep_records(oriented: &OrientedAdjacency, counts: &[u32], threads: usize) -> FlatRecords {
+    let enumerate = |range: std::ops::Range<usize>| {
+        let mut tris: Vec<[u32; 6]> = Vec::new();
+        oriented.for_each_triangle_in(range, &mut |u, v, w, e_uv, e_uw, e_vw| {
+            tris.push([u, v, w, e_uv, e_uw, e_vw]);
+        });
+        tris
+    };
+    let lists: Vec<Vec<[u32; 6]>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = balanced_ranges(&oriented.sweep_weights(), threads.max(1))
+            .into_iter()
+            .map(|range| scope.spawn(|| enumerate(range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    });
+    let offsets = offsets_from_counts(counts);
+    let mut data = vec![0u32; 2 * offsets[counts.len()]];
+    let weights: Vec<usize> = counts.iter().map(|&c| c as usize + 1).collect();
+    fill_ranges_scoped(
+        &mut data,
+        balanced_ranges(&weights, threads.max(1)),
+        |range| 2 * (offsets[range.end] - offsets[range.start]),
+        |range, chunk| {
+            let base = offsets[range.start];
+            // placed[c - range.start] = records of cell c written so far.
+            let mut placed = vec![0u32; range.len()];
+            let mut third = vec![0u32; chunk.len() / 2];
+            let mut place = |cell: u32, x: u32, rec: [u32; 2]| {
+                let local = (cell as usize).wrapping_sub(range.start);
+                if local < range.len() {
+                    let slot = offsets[cell as usize] - base + placed[local] as usize;
+                    third[slot] = x;
+                    chunk[2 * slot..2 * slot + 2].copy_from_slice(&rec);
+                    placed[local] += 1;
+                }
+            };
+            for &[u, v, w, e_uv, e_uw, e_vw] in lists.iter().flatten() {
+                place(e_uv, w, if u < v { [e_uw, e_vw] } else { [e_vw, e_uw] });
+                place(e_uw, v, if u < w { [e_uv, e_vw] } else { [e_vw, e_uv] });
+                place(e_vw, u, if v < w { [e_uv, e_uw] } else { [e_uw, e_uv] });
+            }
+            let mut scratch: Vec<(u32, u32, u32)> = Vec::new();
+            for (cell, &n) in range.zip(&placed) {
+                let (lo, hi) = (offsets[cell] - base, offsets[cell + 1] - base);
+                // Hard assert: ω counts that disagree with the sweep would
+                // leave zero-filled records or spill into a neighbour's slots.
+                assert_eq!(
+                    lo + n as usize,
+                    hi,
+                    "ω counts must match the triangle sweep"
+                );
+                if third[lo..hi].is_sorted() {
+                    continue;
+                }
+                let recs = &mut chunk[2 * lo..2 * hi];
+                scratch.clear();
+                scratch.extend(
+                    third[lo..hi]
+                        .iter()
+                        .zip(recs.chunks_exact(2))
+                        .map(|(&x, r)| (x, r[0], r[1])),
+                );
+                scratch.sort_unstable_by_key(|r| r.0);
+                for (r, &(_, a, b)) in recs.chunks_exact_mut(2).zip(&scratch) {
+                    r[0] = a;
+                    r[1] = b;
+                }
+            }
+        },
+    );
+    FlatRecords::from_parts(offsets, data, 2)
+}
+
 impl PeelSpace for EdgeSpace {
     fn r(&self) -> u32 {
         2
@@ -97,6 +188,31 @@ impl PeelSpace for EdgeSpace {
         let (u, v) = self.g.endpoints(cell);
         out.push(u);
         out.push(v);
+    }
+
+    /// The index from one oriented triangle sweep that reuses the
+    /// orientation of the support count (or builds its own when the
+    /// supports were counted earlier): each triangle scatters one record
+    /// into each of its three edges, and every edge's records are then
+    /// ordered by third vertex, so the index equals the per-cell merge
+    /// fill record for record at any thread count.
+    fn container_index<F>(&self, threads: usize, decide: F) -> Option<ContainerIndex>
+    where
+        F: FnOnce(&[u32]) -> bool,
+    {
+        let mut fresh = None;
+        let counts = self.supports.get_or_init(|| {
+            fresh
+                .insert(OrientedAdjacency::build(&self.g))
+                .edge_supports(self.threads)
+        });
+        if !decide(counts) {
+            return None;
+        }
+        let oriented = fresh.unwrap_or_else(|| OrientedAdjacency::build(&self.g));
+        Some(ContainerIndex::from_records(sweep_records(
+            &oriented, counts, threads,
+        )))
     }
 }
 
@@ -163,6 +279,34 @@ mod tests {
             s.for_each_container(e, |_| count += 1);
             assert_eq!(count, 0);
         }
+    }
+
+    #[test]
+    fn swept_index_matches_per_cell_fill() {
+        let g = nucleus_gen::karate::karate_club();
+        let s = EdgeSpace::with_threads(&g, 2);
+        let per_cell = ContainerIndex::build_per_cell(&s, s.degrees(), 1);
+        for threads in [1, 2, 3] {
+            let swept = ContainerIndex::build(&s, threads);
+            for e in 0..g.m() as u32 {
+                let (mut a, mut b) = (vec![], vec![]);
+                per_cell.for_each_container(e, |o| a.push(o.to_vec()));
+                swept.for_each_container(e, |o| b.push(o.to_vec()));
+                assert_eq!(a, b, "edge {e} at t={threads}");
+            }
+        }
+    }
+
+    // The worker's "ω counts must match the triangle sweep" assert
+    // resurfaces from the thread scope under the scope's own message.
+    #[test]
+    #[should_panic]
+    fn swept_index_rejects_wrong_counts() {
+        let g = diamond();
+        let oriented = OrientedAdjacency::build(&g);
+        let mut counts = oriented.edge_supports(1);
+        counts[0] += 1;
+        sweep_records(&oriented, &counts, 1);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! Every lazy space answers [`PeelBackend::for_each_container`] by
 //! re-running a sorted-list intersection — work that peeling repeats for
 //! a cell each time one of its containers dies. [`ContainerIndex`]
-//! performs that enumeration exactly once per cell, storing each
-//! container as a fixed-width record of co-cell ids in a
-//! [`FlatRecords`] buffer; [`IndexedSpace`] then serves the whole
+//! performs that enumeration exactly once, storing each container as a
+//! fixed-width record of co-cell ids in a [`FlatRecords`] buffer: per
+//! cell for most spaces, from one oriented triangle sweep over the
+//! whole graph for the (2,3) space ([`PeelSpace::container_index`]).
+//! [`IndexedSpace`] then serves the whole
 //! [`PeelSpace`] interface from the flat index, so `peel`, `dft`,
 //! `fnd`, `naive`, `hypo_sweep` and `check_semantics` monomorphize over
 //! it unchanged.
@@ -218,18 +220,23 @@ pub struct ContainerIndex {
 }
 
 impl ContainerIndex {
-    /// Builds the index from a lazy space using up to `threads` worker
-    /// threads. ω degrees give exact record counts, so the buffer is
-    /// allocated once and each worker fills a disjoint slice (ranges
-    /// balanced by per-cell container count; no locks, no atomics).
+    /// Builds the index of a lazy space on up to `threads` worker
+    /// threads, through the space's own fill
+    /// ([`PeelSpace::container_index`]): one oriented triangle sweep for
+    /// the (2,3) [`crate::space::EdgeSpace`], and
+    /// [`ContainerIndex::build_per_cell`] for the other spaces.
     pub fn build<S: PeelSpace + Sync>(space: &S, threads: usize) -> Self {
-        Self::build_with_counts(space, space.degrees(), threads)
+        space
+            .container_index(threads, |_| true)
+            .expect("an index is built whenever `decide` says so")
     }
 
-    /// [`ContainerIndex::build`] with the ω degrees already in hand
-    /// (callers that computed them for the `Auto` size estimate avoid a
-    /// second full clone). `counts` must be `space.degrees()`.
-    pub fn build_with_counts<S: PeelSpace + Sync>(
+    /// The per-cell fill: one [`PeelBackend::for_each_container`] call
+    /// per cell. `counts` must be `space.degrees()`. ω degrees give exact
+    /// record counts, so the buffer is allocated once and each worker
+    /// fills a disjoint slice (ranges balanced by per-cell container
+    /// count; no locks, no atomics).
+    pub fn build_per_cell<S: PeelSpace + Sync>(
         space: &S,
         counts: Vec<u32>,
         threads: usize,
@@ -261,8 +268,13 @@ impl ContainerIndex {
                 assert_eq!(pos, chunk.len(), "degrees must match enumeration");
             },
         );
+        Self::from_records(FlatRecords::from_parts(offsets, data, arity))
+    }
+
+    /// Wraps records built in this process.
+    pub(crate) fn from_records(records: FlatRecords) -> Self {
         ContainerIndex {
-            store: FlatStore::Owned(FlatRecords::from_parts(offsets, data, arity)),
+            store: FlatStore::Owned(records),
         }
     }
 

@@ -99,6 +99,72 @@ fn check_prepare_equivalence(g: &CsrGraph) {
     }
 }
 
+/// Pins the (2,3) index from one oriented triangle sweep
+/// ([`ContainerIndex::build`] on [`EdgeSpace`]) to the per-cell
+/// merge fill ([`ContainerIndex::build_per_cell`]): same records in the
+/// same order for every cell, and the same persisted bytes, at 1, 2 and
+/// 8 worker threads — both when the sweep reuses the orientation the
+/// support count left behind and when it builds its own.
+fn check_truss_index_sweep(g: &CsrGraph) {
+    use nucleus_graph::persist_io::graph_fingerprint;
+    let records = |index: &ContainerIndex| -> Vec<Vec<Vec<u32>>> {
+        (0..index.cell_count() as u32)
+            .map(|cell| {
+                let mut recs = vec![];
+                index.for_each_container(cell, |r| recs.push(r.to_vec()));
+                recs
+            })
+            .collect()
+    };
+    let bytes = |index: &ContainerIndex| {
+        let mut out = vec![];
+        index
+            .write_to(&mut out, 2, 3, graph_fingerprint(g))
+            .expect("encode");
+        out
+    };
+    let lazy = EdgeSpace::new(g);
+    let per_cell = ContainerIndex::build_per_cell(&lazy, lazy.degrees(), 1);
+    let (expect_records, expect_bytes) = (records(&per_cell), bytes(&per_cell));
+    for threads in [1usize, 2, 8] {
+        let space = EdgeSpace::with_threads(g, threads);
+        // The first build counts the supports and reuses that
+        // orientation; the second finds them counted and orients anew.
+        let shared = ContainerIndex::build(&space, threads);
+        let fresh = ContainerIndex::build(&space, threads);
+        for (how, swept) in [("shared orientation", &shared), ("own orientation", &fresh)] {
+            let label = format!("t={threads}, {how}");
+            assert_eq!(swept.counts(), per_cell.counts(), "ω at {label}");
+            assert_eq!(records(swept), expect_records, "records at {label}");
+            assert_eq!(bytes(swept), expect_bytes, "bytes at {label}");
+        }
+    }
+}
+
+/// The swept truss index on the degenerate shapes: no vertices, no
+/// edges, a triangle-free star, and cliques where every edge carries
+/// `n − 2` records.
+#[test]
+fn prepare_equivalence_truss_index_sweep_shapes() {
+    let star: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
+    let clique = |n: u32| {
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .collect();
+        CsrGraph::from_edges(n as usize, &edges)
+    };
+    for g in [
+        CsrGraph::from_edges(0, &[]),
+        CsrGraph::from_edges(5, &[]),
+        CsrGraph::from_edges(12, &star),
+        clique(3),
+        clique(7),
+        clique(16),
+    ] {
+        check_truss_index_sweep(&g);
+    }
+}
+
 /// Random graph strategy: up to `n_max` vertices, arbitrary edge subset.
 fn graph_strategy(n_max: u32, m_max: usize) -> impl Strategy<Value = CsrGraph> {
     (2..=n_max).prop_flat_map(move |n| {
@@ -377,6 +443,28 @@ proptest! {
     #[test]
     fn prepare_equivalence(g in graph_strategy(14, 55)) {
         check_prepare_equivalence(&g);
+    }
+
+    /// The swept truss index on Erdős–Rényi, Barabási–Albert and
+    /// skewed R-MAT graphs (hub edges carry long, out-of-order runs).
+    #[test]
+    fn prepare_equivalence_truss_index_sweep(
+        model in 0u32..3,
+        size in 8u32..120,
+        density in 1u32..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = match model {
+            0 => nucleus_gen::er::gnp(size, (density as f64 * 3.0 / size as f64).min(1.0), seed),
+            1 => nucleus_gen::ba::barabasi_albert(size, density, seed),
+            _ => nucleus_gen::rmat::rmat(
+                3 + size % 6,
+                density + 2,
+                nucleus_gen::rmat::RmatParams::skewed(),
+                seed,
+            ),
+        };
+        check_truss_index_sweep(&g);
     }
 
     #[test]

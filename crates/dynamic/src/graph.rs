@@ -74,6 +74,10 @@ fn adj_remove(adj: &mut [Vec<u32>], u: u32, v: u32) {
     adj[v as usize].remove(pv);
 }
 
+/// Static snapshot of sorted adjacency lists. Walking the lists in
+/// vertex order and keeping `u < v` already yields the canonical,
+/// sorted, duplicate-free edge list, so it goes straight to
+/// [`CsrGraph::from_sorted_unique_edges`].
 fn snapshot_of(adj: &[Vec<u32>], m: usize) -> CsrGraph {
     let mut edges = Vec::with_capacity(m);
     for (u, ns) in adj.iter().enumerate() {
@@ -83,7 +87,7 @@ fn snapshot_of(adj: &[Vec<u32>], m: usize) -> CsrGraph {
             }
         }
     }
-    CsrGraph::from_edges(adj.len(), &edges)
+    CsrGraph::from_sorted_unique_edges(adj.len(), edges)
 }
 
 impl DynamicGraph {

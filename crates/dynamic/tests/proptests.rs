@@ -6,8 +6,9 @@
 //! These are the correctness spine of `nucleus-dynamic`: the exact
 //! (1,2)/(2,3) repairs and the scoped-recompute fallback all reduce to
 //! "after any stream, the maintained λ equals the λ of a fresh peel of
-//! the snapshot". CI runs this file in release like the other
-//! equivalence suites.
+//! the snapshot" — and the snapshot itself must equal a from-scratch
+//! `CsrGraph::from_edges` of the same edge set. CI runs this file in
+//! release like the other equivalence suites.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -90,6 +91,33 @@ fn stream_strategy(n: u32, len: usize) -> impl Strategy<Value = Vec<EdgeOp>> {
     )
 }
 
+/// Checks the snapshot against [`CsrGraph::from_edges`] over the same
+/// edge set, handed over reversed and unsorted: same neighbours, same
+/// edge ids, same endpoints.
+fn assert_snapshot_matches_from_edges(
+    dg: &DynamicGraph,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let g = dg.to_graph();
+    let edges: Vec<(u32, u32)> = (0..dg.n() as u32)
+        .rev()
+        .flat_map(|u| dg.neighbors(u).iter().map(move |&v| (v, u)))
+        .collect();
+    let expect = CsrGraph::from_edges(dg.n(), &edges);
+    prop_assert_eq!((g.n(), g.m()), (expect.n(), expect.m()), "{}", context);
+    prop_assert_eq!(g.edge_endpoints(), expect.edge_endpoints(), "{}", context);
+    for v in 0..g.n() as u32 {
+        prop_assert_eq!(g.neighbors(v), expect.neighbors(v), "{}", context);
+        prop_assert_eq!(
+            g.neighbor_edge_ids(v),
+            expect.neighbor_edge_ids(v),
+            "{}",
+            context
+        );
+    }
+    Ok(())
+}
+
 fn er_graph(n: u32, seed: u64, p: f64) -> CsrGraph {
     nucleus_gen::er::gnp(n, p, seed)
 }
@@ -164,6 +192,31 @@ proptest! {
         for batch in [1usize, 2, 8] {
             run_stream(&g, Kind::Core, &ops, batch)?;
             run_stream(&g, Kind::Truss, &ops, batch)?;
+        }
+    }
+
+    /// The mutation snapshot ≡ a from-scratch `CsrGraph::from_edges` of
+    /// the same edge set, after every batch of a random stream.
+    #[test]
+    fn dynamic_equivalence_snapshot_matches_from_edges(
+        n in 2u32..30,
+        seed in 0u64..1_000_000,
+        ops in stream_strategy(64, 32),
+    ) {
+        let g = er_graph(n, seed, 0.3);
+        let ops: Vec<EdgeOp> = ops
+            .into_iter()
+            .map(|op| {
+                let (u, v) = op.endpoints();
+                let (u, v) = (u % n, v % n);
+                if op.is_insert() { EdgeOp::Insert(u, v) } else { EdgeOp::Delete(u, v) }
+            })
+            .collect();
+        let mut dg = DynamicGraph::topology(&g);
+        assert_snapshot_matches_from_edges(&dg, "before any batch")?;
+        for (i, chunk) in ops.chunks(4).enumerate() {
+            dg.apply(chunk);
+            assert_snapshot_matches_from_edges(&dg, &format!("after batch #{i}"))?;
         }
     }
 
