@@ -10,7 +10,7 @@ use std::collections::BinaryHeap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nucleus_bench::load;
-use nucleus_cliques::triangles::triangle_count;
+use nucleus_cliques::triangles::{triangle_count, OrientedAdjacency};
 use nucleus_core::prelude::*;
 use nucleus_gen::Scale;
 use nucleus_graph::bucket::PeelBuckets;
@@ -115,18 +115,19 @@ fn bench_micro(c: &mut Criterion) {
         });
     });
 
-    // parallel triangle counting (future-work §6 substrate)
+    // parallel triangle counting (future-work §6 substrate), the
+    // orientation included
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("triangles/parallel", threads),
             &g,
             |b, g| {
-                b.iter(|| nucleus_cliques::parallel::triangle_count_parallel(g, threads));
+                b.iter(|| OrientedAdjacency::build(g).triangle_count(threads));
             },
         );
     }
     assert_eq!(
-        nucleus_cliques::parallel::triangle_count_parallel(&g, 4),
+        OrientedAdjacency::build(&g).triangle_count(4),
         triangle_count(&g)
     );
 

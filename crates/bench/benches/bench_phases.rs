@@ -9,13 +9,18 @@
 //! * `enumerate-serial/-tN` — the enumeration kernel feeding ω degrees:
 //!   `edge_supports` for (2,3), `TriangleList::build` for (3,4)
 //!   (`-tN` is the bit-identical two-pass parallel twin);
-//! * `index-build-serial/-tN` — for (3,4), the edge→thirds
-//!   [`TriangleIndex`] over a pre-built triangle list; for (2,3), the
-//!   session's [`ContainerIndex`] over supports already in hand (the
-//!   oriented triangle sweep, its orientation included: a session
-//!   shares that orientation with the support count, so
-//!   `prepare-total` pays for it once);
-//! * `degrees-serial/-tN` ((3,4) only) — per-triangle K4 degrees;
+//! * `index-build-serial/-tN` — the session's [`ContainerIndex`] over
+//!   ω already in hand. For (2,3), the oriented triangle sweep, its
+//!   orientation included (a session shares that orientation with the
+//!   support count, so `prepare-total` pays for it once). For (3,4),
+//!   the oriented K4 sweep with its orientation: a session takes ω from
+//!   the same K4 lists, so this row is the session's ω and index
+//!   together, less a tally of the lists;
+//! * `triangle-index-serial/-tN` ((3,4) only) — the edge→thirds
+//!   [`TriangleIndex`] over a pre-built triangle list, which only lazy
+//!   (3,4) runs consult;
+//! * `degrees-serial/-tN` ((3,4) only) — per-triangle K4 degrees alone
+//!   (the counting-only K4 sweep, its orientation included);
 //! * `peel-only`, `dft-post-only`, `fnd-total` — the historical
 //!   Figure 6 rows, unchanged in meaning;
 //! * `hierarchy-assembly-serial/-tN` — `BuildHierarchy` (Alg. 9) alone,
@@ -207,8 +212,9 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
     configure(&mut group);
     let tn = all_threads();
     for (name, g) in &inputs() {
-        // Prepare phase, split into its three passes: triangle
-        // enumeration, edge→thirds index, per-triangle K4 degrees.
+        // Prepare phase: triangle enumeration (the cells), then the K4
+        // sweep behind both ω and the session's index; the edge→thirds
+        // index serves lazy runs only.
         group.bench_with_input(BenchmarkId::new("enumerate-serial", name), g, |b, g| {
             b.iter(|| TriangleList::build(g).len());
         });
@@ -219,12 +225,28 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 b.iter(|| TriangleList::build_with_threads(g, tn).len());
             },
         );
-        let tris = TriangleList::build(g);
-        group.bench_with_input(BenchmarkId::new("index-build-serial", name), g, |b, g| {
-            b.iter(|| TriangleIndex::build(g, &tris).incidence_count());
+        let ts = TriangleSpace::new(g);
+        ts.degrees();
+        group.bench_with_input(BenchmarkId::new("index-build-serial", name), g, |b, _| {
+            b.iter(|| ContainerIndex::build(&ts, 1).container_count());
         });
         group.bench_with_input(
             BenchmarkId::new(format!("index-build-t{tn}"), name),
+            g,
+            |b, _| {
+                b.iter(|| ContainerIndex::build(&ts, tn).container_count());
+            },
+        );
+        let tris = TriangleList::build(g);
+        group.bench_with_input(
+            BenchmarkId::new("triangle-index-serial", name),
+            g,
+            |b, g| {
+                b.iter(|| TriangleIndex::build(g, &tris).incidence_count());
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("triangle-index-t{tn}"), name),
             g,
             |b, g| {
                 b.iter(|| TriangleIndex::build_with_threads(g, &tris, tn).incidence_count());
@@ -247,7 +269,6 @@ fn bench_phases_nucleus34(c: &mut Criterion) {
                 peel(&ts).max_lambda
             });
         });
-        let ts = TriangleSpace::new(g);
         let p = peel(&ts);
         group.bench_with_input(BenchmarkId::new("dft-post-only", name), g, |b, _| {
             b.iter(|| dft(&ts, &p).0.nucleus_count());

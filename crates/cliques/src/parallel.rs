@@ -1,13 +1,16 @@
-//! Parallel triangle counting with `std::thread::scope` — a first step
-//! toward the paper's closing future-work item ("adapting the existing
-//! parallel peeling algorithms for the hierarchy computation"). The
-//! clique-enumeration half of the peeling phase parallelizes trivially;
-//! this module provides it without any extra dependency.
+//! Work splitting for the scoped-thread (`std::thread::scope`) builders
+//! — a first step toward the paper's closing future-work item
+//! ("adapting the existing parallel peeling algorithms for the
+//! hierarchy computation"). The clique-enumeration half of the peeling
+//! phase parallelizes trivially: every counter is an
+//! [`OrientedAdjacency`] method with a `threads` argument, and this
+//! module holds the [`balanced_ranges`] partitioner and the
+//! disjoint-chunk fill helpers they (and the materialized peeling
+//! backend in `nucleus-core`) share, plus two graph-level wrappers kept
+//! for their callers.
 
 use nucleus_graph::CsrGraph;
 
-use crate::four_cliques::{intersect3_sorted, k4_degree_of_edge};
-use crate::triangle_index::TriangleIndex;
 use crate::triangles::{OrientedAdjacency, TriangleList};
 
 /// Splits `0..weights.len()` into at most `parts` contiguous ranges of
@@ -49,10 +52,11 @@ pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<std::ops::Range<u
 /// [`balanced_ranges`] produces, and `chunk_len(&range)` must give each
 /// range's share of `out` (the shares must tile `out` front to back).
 /// This keeps the `split_at_mut` cursor arithmetic every parallel fill
-/// needs in one audited place.
+/// needs in one audited place. A single range is filled inline on the
+/// calling thread, whose caches already hold the inputs.
 pub fn fill_ranges_scoped<T, L, W>(
     out: &mut [T],
-    ranges: Vec<std::ops::Range<usize>>,
+    mut ranges: Vec<std::ops::Range<usize>>,
     chunk_len: L,
     work: W,
 ) where
@@ -60,6 +64,11 @@ pub fn fill_ranges_scoped<T, L, W>(
     L: Fn(&std::ops::Range<usize>) -> usize,
     W: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
 {
+    if ranges.len() == 1 {
+        let range = ranges.pop().expect("one range");
+        let len = chunk_len(&range);
+        return work(range, &mut out[..len]);
+    }
     std::thread::scope(|scope| {
         let mut rest: &mut [T] = out;
         for range in ranges {
@@ -103,133 +112,34 @@ pub fn fill_ranges_pair_scoped<A, B, W>(
     });
 }
 
-/// Counts triangles using `threads` worker threads.
-pub fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
-    let oriented = OrientedAdjacency::build(g);
-    let ranges = balanced_ranges(&oriented.sweep_weights(), threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let oriented = &oriented;
-            handles.push(scope.spawn(move || {
-                let mut count = 0u64;
-                oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| count += 1);
-                count
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .sum()
-    })
-}
-
-/// Computes per-edge triangle supports using `threads` worker threads
-/// ([`OrientedAdjacency::edge_supports`] over a fresh orientation).
+/// Computes per-edge triangle supports using `threads` worker threads:
+/// a one-line wrapper over [`OrientedAdjacency::edge_supports`] on a
+/// fresh orientation, kept with its signature for callers that hold
+/// only a graph (the end-to-end benchmark times it).
 pub fn edge_supports_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
     OrientedAdjacency::build(g).edge_supports(threads)
 }
 
-/// Computes per-triangle K4 degrees using `threads` worker threads —
-/// the parallel twin of [`crate::four_cliques::k4_degrees`], behind the
-/// same thread-count knob as [`triangle_count_parallel`]. Triangles are
-/// independent, so each worker fills a disjoint slice of the output;
-/// ranges are balanced by the triangles' total endpoint degree (the
-/// three-way intersection cost).
+/// Computes per-triangle K4 degrees using `threads` worker threads: a
+/// one-line wrapper over [`OrientedAdjacency::k4_degrees`] on a fresh
+/// orientation, kept with its signature for callers that hold a graph
+/// and its [`TriangleList`] (the end-to-end benchmark times it). `tris`
+/// must be the triangle list of `g` ([`TriangleList::build`]): the
+/// sweep reads its triangle ids off that list.
 pub fn k4_degrees_parallel(g: &CsrGraph, tris: &TriangleList, threads: usize) -> Vec<u32> {
-    let n = tris.len();
-    let mut deg = vec![0u32; n];
-    let weights: Vec<usize> = tris
-        .vertices
-        .iter()
-        .map(|&[u, v, w]| g.degree(u) + g.degree(v) + g.degree(w) + 1)
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
-    fill_ranges_scoped(
-        &mut deg,
-        ranges,
-        |range| range.len(),
-        |range, chunk| {
-            for (slot, &[u, v, w]) in chunk.iter_mut().zip(&tris.vertices[range]) {
-                let mut c = 0u32;
-                intersect3_sorted(g.neighbors(u), g.neighbors(v), g.neighbors(w), |_| c += 1);
-                *slot = c;
-            }
-        },
-    );
-    deg
-}
-
-/// Computes per-vertex triangle counts using `threads` worker threads —
-/// the parallel twin of [`crate::triangles::vertex_triangle_counts`].
-/// Same private-partials-then-sum scheme as [`edge_supports_parallel`].
-pub fn vertex_triangle_counts_parallel(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    let oriented = OrientedAdjacency::build(g);
-    let ranges = balanced_ranges(&oriented.sweep_weights(), threads);
-    let n = g.n();
-    let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let oriented = &oriented;
-                scope.spawn(move || {
-                    let mut deg = vec![0u32; n];
-                    oriented.for_each_triangle_in(range, &mut |a, b, c, _, _, _| {
-                        deg[a as usize] += 1;
-                        deg[b as usize] += 1;
-                        deg[c as usize] += 1;
-                    });
-                    deg
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-    let mut total = vec![0u32; n];
-    for partial in partials {
-        for (t, p) in total.iter_mut().zip(partial) {
-            *t += p;
-        }
-    }
-    total
-}
-
-/// Computes per-edge K4 degrees using `threads` worker threads — the
-/// parallel twin of [`crate::four_cliques::k4_edge_degrees`]. Edges are
-/// independent given the [`TriangleIndex`], so each worker fills a
-/// disjoint slice; ranges are balanced by the quadratic pair-scan cost
-/// over each edge's third-vertex list.
-pub fn k4_edge_degrees_parallel(g: &CsrGraph, index: &TriangleIndex, threads: usize) -> Vec<u32> {
-    let m = g.m();
-    let mut deg = vec![0u32; m];
-    let weights: Vec<usize> = (0..m as u32)
-        .map(|e| {
-            let t = index.thirds(e).len();
-            t * t + 1
-        })
-        .collect();
-    let ranges = balanced_ranges(&weights, threads);
-    fill_ranges_scoped(
-        &mut deg,
-        ranges,
-        |range| range.len(),
-        |range, chunk| {
-            for (slot, e) in chunk.iter_mut().zip(range) {
-                *slot = k4_degree_of_edge(g, index.thirds(e as u32));
-            }
-        },
-    );
-    deg
+    OrientedAdjacency::build(g).k4_degrees(tris, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::four_cliques::{k4_degrees, k4_edge_degrees};
+    use crate::four_cliques::k4_degrees;
+    use crate::kclique::for_each_clique;
     use crate::triangles::{edge_supports, triangle_count, vertex_triangle_counts};
+
+    fn triangle_count_parallel(g: &CsrGraph, threads: usize) -> u64 {
+        OrientedAdjacency::build(g).triangle_count(threads)
+    }
 
     fn complete(n: u32) -> CsrGraph {
         let mut edges = vec![];
@@ -337,10 +247,12 @@ mod tests {
 
     #[test]
     fn vertex_triangle_counts_parallel_matches_serial() {
+        let counts =
+            |g: &CsrGraph, threads| OrientedAdjacency::build(g).vertex_triangle_counts(threads);
         let g = complete(15);
         let serial = vertex_triangle_counts(&g);
         for threads in [1, 2, 4, 7] {
-            assert_eq!(vertex_triangle_counts_parallel(&g, threads), serial);
+            assert_eq!(counts(&g, threads), serial);
         }
 
         use rand::rngs::StdRng;
@@ -352,58 +264,73 @@ mod tests {
         let g = CsrGraph::from_edges(300, &edges);
         let serial = vertex_triangle_counts(&g);
         for threads in [2, 3, 8] {
-            assert_eq!(vertex_triangle_counts_parallel(&g, threads), serial);
+            assert_eq!(counts(&g, threads), serial);
         }
 
         let g = CsrGraph::from_edges(0, &[]);
-        assert!(vertex_triangle_counts_parallel(&g, 4).is_empty());
+        assert!(counts(&g, 4).is_empty());
     }
 
+    /// Per-edge K4 degrees from the K4 sweep equal the count of
+    /// brute-force K4s through each edge, at every thread count.
     #[test]
     fn k4_edge_degrees_parallel_matches_serial() {
-        let g = complete(12);
-        let tl = TriangleList::build(&g);
-        let idx = TriangleIndex::build(&g, &tl);
-        let serial = k4_edge_degrees(&g, &idx);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(k4_edge_degrees_parallel(&g, &idx, threads), serial);
-        }
-
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(29);
         let edges: Vec<(u32, u32)> = (0..1500)
             .map(|_| (rng.gen_range(0..160u32), rng.gen_range(0..160u32)))
             .collect();
-        let g = CsrGraph::from_edges(160, &edges);
-        let tl = TriangleList::build(&g);
-        let idx = TriangleIndex::build(&g, &tl);
-        let serial = k4_edge_degrees(&g, &idx);
-        for threads in [2, 3, 8] {
-            assert_eq!(k4_edge_degrees_parallel(&g, &idx, threads), serial);
+        for g in [complete(12), CsrGraph::from_edges(160, &edges)] {
+            let mut oracle = vec![0u32; g.m()];
+            for_each_clique(&g, 4, |c| {
+                for i in 0..4 {
+                    for j in i + 1..4 {
+                        oracle[g.edge_id(c[i], c[j]).expect("K4 edge") as usize] += 1;
+                    }
+                }
+            });
+            let oriented = OrientedAdjacency::build(&g);
+            let tl = TriangleList::from_oriented(&oriented, 1);
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    oriented.k4_edge_degrees(&tl, threads),
+                    oracle,
+                    "t={threads}"
+                );
+            }
         }
     }
 
+    /// Per-triangle K4 degrees from the K4 sweep equal the count of
+    /// brute-force K4s over each listed triangle, at every thread count.
     #[test]
     fn k4_degrees_parallel_matches_serial() {
-        let g = complete(12);
-        let tl = TriangleList::build(&g);
-        let serial = k4_degrees(&g, &tl);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(k4_degrees_parallel(&g, &tl, threads), serial);
-        }
-
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let edges: Vec<(u32, u32)> = (0..1500)
             .map(|_| (rng.gen_range(0..160u32), rng.gen_range(0..160u32)))
             .collect();
-        let g = CsrGraph::from_edges(160, &edges);
-        let tl = TriangleList::build(&g);
-        let serial = k4_degrees(&g, &tl);
-        for threads in [1, 3, 8] {
-            assert_eq!(k4_degrees_parallel(&g, &tl, threads), serial);
+        for g in [complete(12), CsrGraph::from_edges(160, &edges)] {
+            let tl = TriangleList::build(&g);
+            let tid: std::collections::HashMap<[u32; 3], usize> = tl
+                .vertices
+                .iter()
+                .enumerate()
+                .map(|(t, &vs)| (vs, t))
+                .collect();
+            let mut oracle = vec![0u32; tl.len()];
+            for_each_clique(&g, 4, |c| {
+                for skip in 0..4 {
+                    let face: Vec<u32> = (0..4).filter(|&i| i != skip).map(|i| c[i]).collect();
+                    oracle[tid[&[face[0], face[1], face[2]]]] += 1;
+                }
+            });
+            assert_eq!(k4_degrees(&g, &tl), oracle);
+            for threads in [1, 3, 8] {
+                assert_eq!(k4_degrees_parallel(&g, &tl, threads), oracle, "t={threads}");
+            }
         }
 
         // no triangles at all

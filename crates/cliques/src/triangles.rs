@@ -13,16 +13,18 @@ use nucleus_graph::CsrGraph;
 /// all vertices, or over [`crate::balanced_ranges`] of
 /// [`OrientedAdjacency::sweep_weights`] on worker threads.
 pub struct OrientedAdjacency {
-    offsets: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
     /// (neighbor, undirected edge id), sorted by neighbor within a vertex.
-    arcs: Vec<(u32, u32)>,
+    pub(crate) arcs: Vec<(u32, u32)>,
+    /// Degeneracy rank of each vertex: arcs run from lower to higher rank.
+    rank: Vec<u32>,
 }
 
 impl OrientedAdjacency {
     /// Orients `g` by its degeneracy order.
     pub fn build(g: &CsrGraph) -> Self {
         let (order, _) = degeneracy_order(g);
-        let rank = &order.rank;
+        let rank = order.rank;
         let n = g.n();
         let mut offsets = vec![0usize; n + 1];
         for v in 0..n as u32 {
@@ -50,7 +52,17 @@ impl OrientedAdjacency {
         }
         // `g.arcs` yields neighbors in sorted order, so each out-list is
         // already sorted by neighbor id.
-        OrientedAdjacency { offsets, arcs }
+        OrientedAdjacency {
+            offsets,
+            arcs,
+            rank,
+        }
+    }
+
+    /// Number of vertices.
+    #[inline]
+    pub(crate) fn n(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// The `(neighbor, edge_id)` arcs from `v` to its higher-rank
@@ -74,6 +86,58 @@ impl OrientedAdjacency {
             .collect()
     }
 
+    /// Runs `work` over [`crate::balanced_ranges`] of
+    /// [`OrientedAdjacency::sweep_weights`] on up to `threads` scoped
+    /// worker threads and returns the results in range order: the
+    /// ranges are disjoint and cover every vertex, so concatenating the
+    /// results of an enumeration gives the serial sweep's order. One
+    /// thread runs `work(0..n)` inline.
+    pub fn sweep_ranges<T, W>(&self, threads: usize, work: W) -> Vec<T>
+    where
+        T: Send,
+        W: Fn(std::ops::Range<usize>) -> T + Sync,
+    {
+        if threads <= 1 {
+            return vec![work(0..self.n())];
+        }
+        let ranges = crate::parallel::balanced_ranges(&self.sweep_weights(), threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|range| scope.spawn(|| work(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Per-item counts over [`OrientedAdjacency::sweep_ranges`]: each
+    /// worker runs `count(range, partial)` into a private zeroed array of
+    /// `len` counters, and the partials are summed at the end (no
+    /// atomics on the hot path), so every thread count gives the same
+    /// counts.
+    pub(crate) fn sum_counts<C>(&self, threads: usize, len: usize, count: C) -> Vec<u32>
+    where
+        C: Fn(std::ops::Range<usize>, &mut [u32]) + Sync,
+    {
+        let mut partials = self
+            .sweep_ranges(threads, |range| {
+                let mut partial = vec![0u32; len];
+                count(range, &mut partial);
+                partial
+            })
+            .into_iter();
+        let mut total = partials.next().unwrap_or_else(|| vec![0u32; len]);
+        for partial in partials {
+            for (t, p) in total.iter_mut().zip(partial) {
+                *t += p;
+            }
+        }
+        total
+    }
+
     /// Calls `f(u, v, w, e_uv, e_uw, e_vw)` for every triangle whose
     /// lowest-rank (orientation-wise first) vertex `u` lies in
     /// `vertices`, vertex by vertex — the full sweep over `0..n`, or one
@@ -94,7 +158,7 @@ impl OrientedAdjacency {
         // mark[w] = id of the arc u → w while `u` is swept, else NONE.
         // Edge ids are below `m ≤ u32::MAX`, so NONE never collides.
         const NONE: u32 = u32::MAX;
-        let mut mark = vec![NONE; self.offsets.len() - 1];
+        let mut mark = vec![NONE; self.n()];
         for u in vertices {
             let u = u as u32;
             let out_u = self.out(u);
@@ -115,45 +179,75 @@ impl OrientedAdjacency {
         }
     }
 
+    /// Number of triangles, swept on up to `threads` worker threads.
+    pub fn triangle_count(&self, threads: usize) -> u64 {
+        self.sweep_ranges(threads, |range| {
+            let mut count = 0u64;
+            self.for_each_triangle_in(range, &mut |_, _, _, _, _, _| count += 1);
+            count
+        })
+        .into_iter()
+        .sum()
+    }
+
     /// Per-edge triangle counts (the *support* peeled by the (2,3)
     /// decomposition), indexed by edge id, on up to `threads` worker
-    /// threads. Each worker sweeps a [`crate::balanced_ranges`] share of
-    /// the vertices into a private array; partials are summed at the end
-    /// (no atomics on the hot path), so every thread count gives the
-    /// same counts.
+    /// threads ([`OrientedAdjacency::sweep_ranges`] partials, summed).
     pub fn edge_supports(&self, threads: usize) -> Vec<u32> {
         // Every undirected edge is exactly one oriented arc.
-        let m = self.arcs.len();
-        let count = |range: std::ops::Range<usize>| {
-            let mut support = vec![0u32; m];
+        self.sum_counts(threads, self.arcs.len(), |range, support| {
             self.for_each_triangle_in(range, &mut |_, _, _, e1, e2, e3| {
                 support[e1 as usize] += 1;
                 support[e2 as usize] += 1;
                 support[e3 as usize] += 1;
             });
-            support
-        };
-        if threads <= 1 {
-            return count(0..self.offsets.len() - 1);
+        })
+    }
+
+    /// Per-vertex triangle counts (the degrees peeled by the (1,3)
+    /// decomposition), indexed by vertex id, on up to `threads` worker
+    /// threads ([`OrientedAdjacency::sweep_ranges`] partials, summed).
+    pub fn vertex_triangle_counts(&self, threads: usize) -> Vec<u32> {
+        self.sum_counts(threads, self.n(), |range, deg| {
+            self.for_each_triangle_in(range, &mut |a, b, c, _, _, _| {
+                deg[a as usize] += 1;
+                deg[b as usize] += 1;
+                deg[c as usize] += 1;
+            });
+        })
+    }
+
+    /// Triangle ids by arc: entry `a` is the id of the first triangle the
+    /// full sweep emits for arc `a = (u → v)` (index into the oriented
+    /// arc array), the last entry the triangle total. The sweep emits
+    /// the triangles of one arc together and arc by arc, so the ids of
+    /// arc `a`'s triangles run from entry `a` to entry `a + 1`, in
+    /// ascending third-vertex order.
+    ///
+    /// `tris` must be the [`TriangleList`] swept from this orientation
+    /// ([`TriangleList::from_oriented`]); its ids are the ones the
+    /// offsets point at. Each listed triangle is counted on the arc
+    /// between its two lowest-rank vertices, so the cost follows the
+    /// triangles, not the wedges a sweep would scan.
+    ///
+    /// # Panics
+    /// When a listed triangle is not a triangle of this orientation.
+    pub fn triangle_offsets(&self, tris: &TriangleList) -> Vec<u32> {
+        let mut offsets = vec![0u32; self.arcs.len() + 1];
+        for &[a, b, c] in &tris.vertices {
+            let mut vs = [a, b, c];
+            vs.sort_unstable_by_key(|&x| self.rank[x as usize]);
+            let [u, v, _] = vs;
+            let at = self
+                .out(u)
+                .binary_search_by_key(&v, |&(x, _)| x)
+                .expect("`tris` must be swept from this orientation");
+            offsets[self.offsets[u as usize] + at + 1] += 1;
         }
-        let ranges = crate::parallel::balanced_ranges(&self.sweep_weights(), threads);
-        let partials: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(|| count(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        let mut total = vec![0u32; m];
-        for partial in partials {
-            for (t, p) in total.iter_mut().zip(partial) {
-                *t += p;
-            }
+        for a in 1..offsets.len() {
+            offsets[a] += offsets[a - 1];
         }
-        total
+        offsets
     }
 }
 
@@ -166,29 +260,25 @@ pub fn for_each_triangle<F: FnMut(u32, u32, u32, u32, u32, u32)>(g: &CsrGraph, m
     OrientedAdjacency::build(g).for_each_triangle_in(0..g.n(), &mut f);
 }
 
-/// Number of triangles in `g`.
+/// Number of triangles in `g` ([`OrientedAdjacency::triangle_count`]
+/// on one thread).
 pub fn triangle_count(g: &CsrGraph) -> u64 {
-    let mut c = 0u64;
-    for_each_triangle(g, |_, _, _, _, _, _| c += 1);
-    c
+    OrientedAdjacency::build(g).triangle_count(1)
 }
 
 /// Per-edge triangle counts (the *support* peeled by the (2,3)
-/// decomposition), indexed by edge id.
+/// decomposition), indexed by edge id: a one-line wrapper over
+/// [`OrientedAdjacency::edge_supports`] on one thread, kept with its
+/// signature for callers that hold only a graph.
 pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
     OrientedAdjacency::build(g).edge_supports(1)
 }
 
 /// Per-vertex triangle counts (the degrees peeled by the (1,3)
-/// decomposition), indexed by vertex id.
+/// decomposition), indexed by vertex id
+/// ([`OrientedAdjacency::vertex_triangle_counts`] on one thread).
 pub fn vertex_triangle_counts(g: &CsrGraph) -> Vec<u32> {
-    let mut deg = vec![0u32; g.n()];
-    for_each_triangle(g, |u, v, w, _, _, _| {
-        deg[u as usize] += 1;
-        deg[v as usize] += 1;
-        deg[w as usize] += 1;
-    });
-    deg
+    OrientedAdjacency::build(g).vertex_triangle_counts(1)
 }
 
 /// Canonical record of one triangle `{a, b, c}` with edge ids `e_ab`,
@@ -237,51 +327,46 @@ pub struct TriangleList {
 impl TriangleList {
     /// Enumerates and stores all triangles of `g`.
     pub fn build(g: &CsrGraph) -> Self {
-        let mut vertices = Vec::new();
-        let mut edges = Vec::new();
-        for_each_triangle(g, |a, b, c, e_ab, e_ac, e_bc| {
-            let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
-            vertices.push(vs);
-            edges.push(es);
-        });
-        TriangleList { vertices, edges }
+        Self::build_with_threads(g, 1)
     }
 
     /// Enumerates and stores all triangles of `g` using `threads` worker
     /// threads, producing **exactly** the output of
     /// [`TriangleList::build`] — same triangles, same enumeration order,
-    /// same dense ids.
+    /// same dense ids ([`TriangleList::from_oriented`] on a fresh
+    /// orientation).
+    pub fn build_with_threads(g: &CsrGraph, threads: usize) -> Self {
+        Self::from_oriented(&OrientedAdjacency::build(g), threads)
+    }
+
+    /// The triangles of an oriented graph, in its sweep order, on up to
+    /// `threads` worker threads; every thread count gives the same list.
+    /// Callers that sweep the same orientation again (the K4 sweep)
+    /// build it once and share it.
     ///
     /// Two passes over the oriented adjacency: per-range triangle counts
     /// over [`crate::balanced_ranges`] of
     /// [`OrientedAdjacency::sweep_weights`], an exclusive
     /// prefix sum, then a scoped fill of each range's disjoint chunk in
     /// the serial sweep's vertex-major order.
-    pub fn build_with_threads(g: &CsrGraph, threads: usize) -> Self {
+    pub fn from_oriented(oriented: &OrientedAdjacency, threads: usize) -> Self {
         if threads <= 1 {
-            return Self::build(g);
+            let (mut vertices, mut edges) = (Vec::new(), Vec::new());
+            oriented.for_each_triangle_in(0..oriented.n(), &mut |a, b, c, e_ab, e_ac, e_bc| {
+                let (vs, es) = canonical_triangle(a, b, c, e_ab, e_ac, e_bc);
+                vertices.push(vs);
+                edges.push(es);
+            });
+            return TriangleList { vertices, edges };
         }
-        let oriented = OrientedAdjacency::build(g);
-        let ranges = crate::parallel::balanced_ranges(&oriented.sweep_weights(), threads);
         // Pass 1: triangles per range.
-        let counts: Vec<usize> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    let oriented = &oriented;
-                    scope.spawn(move || {
-                        let mut c = 0usize;
-                        oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| c += 1);
-                        c
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+        let counts: Vec<usize> = oriented.sweep_ranges(threads, |range| {
+            let mut c = 0usize;
+            oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| c += 1);
+            c
         });
+        // `sweep_ranges` split the vertices exactly like this.
+        let ranges = crate::parallel::balanced_ranges(&oriented.sweep_weights(), threads);
         // Pass 2: prefix-sum the counts into chunk sizes and fill each
         // range's slice of both arrays in enumeration order.
         let total: usize = counts.iter().sum();

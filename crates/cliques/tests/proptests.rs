@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use nucleus_cliques::four_cliques::{k4_count, k4_degrees};
 use nucleus_cliques::kclique::{count_cliques, for_each_clique};
-use nucleus_cliques::triangles::{edge_supports, triangle_count};
+use nucleus_cliques::triangles::{edge_supports, triangle_count, OrientedAdjacency};
 use nucleus_cliques::{TriangleIndex, TriangleList};
 use nucleus_graph::CsrGraph;
 
@@ -61,6 +61,27 @@ proptest! {
         // degrees sum to 4 × K4 count
         let deg_sum: u64 = k4_degrees(&g, &tl).iter().map(|&d| d as u64).sum();
         prop_assert_eq!(deg_sum, 4 * count_cliques(&g, 4));
+        // per triangle and per edge, the K4 sweep credits exactly the
+        // brute-force K4s, at every thread count
+        let mut per_triangle = vec![0u32; tl.len()];
+        let mut per_edge = vec![0u32; g.m()];
+        for_each_clique(&g, 4, |c| {
+            for skip in 0..4 {
+                let face: Vec<u32> = (0..4).filter(|&i| i != skip).map(|i| c[i]).collect();
+                let t = tl.vertices.iter().position(|vs| vs[..] == face[..]).expect("face");
+                per_triangle[t] += 1;
+            }
+            for i in 0..4 {
+                for j in i + 1..4 {
+                    per_edge[g.edge_id(c[i], c[j]).expect("K4 edge") as usize] += 1;
+                }
+            }
+        });
+        let oriented = OrientedAdjacency::build(&g);
+        for threads in [1, 2, 3] {
+            prop_assert_eq!(&oriented.k4_degrees(&tl, threads), &per_triangle);
+            prop_assert_eq!(&oriented.k4_edge_degrees(&tl, threads), &per_edge);
+        }
     }
 
     #[test]

@@ -4,8 +4,6 @@
 use std::sync::OnceLock;
 
 use nucleus_cliques::triangles::OrientedAdjacency;
-use nucleus_cliques::{balanced_ranges, fill_ranges_scoped};
-use nucleus_graph::flat::{offsets_from_counts, FlatRecords};
 use nucleus_graph::CsrGraph;
 
 use super::{ContainerIndex, PeelBackend, PeelSpace};
@@ -86,93 +84,29 @@ impl PeelBackend for EdgeSpace {
     }
 }
 
-/// The (2,3) container records from one oriented triangle sweep on up
-/// to `threads` worker threads, identical record for record to the
-/// per-cell merge of [`EdgeSpace::for_each_container`].
-///
-/// Two passes, neither with locks or atomics:
-/// 1. Workers enumerate the triangles of disjoint vertex ranges into one
-///    list each.
-/// 2. Workers each own a disjoint range of cells (a disjoint slice of
-///    the records) and read every list, keeping the records of their own
-///    cells: cell `{a, b}` (`a < b`) with third vertex `x` gets
-///    `[id(a, x), id(b, x)]`, the merge's layout. Each cell's records are
-///    then sorted by `x`, the order the merge emits, so the result does
-///    not depend on the thread count.
-fn sweep_records(oriented: &OrientedAdjacency, counts: &[u32], threads: usize) -> FlatRecords {
-    let enumerate = |range: std::ops::Range<usize>| {
-        let mut tris: Vec<[u32; 6]> = Vec::new();
+/// The (2,3) index from one oriented triangle sweep on up to `threads`
+/// worker threads, identical record for record to the per-cell merge of
+/// [`EdgeSpace::for_each_container`]: workers enumerate the triangles of
+/// disjoint vertex ranges into one list each, then
+/// [`ContainerIndex::from_sweep`] gives cell `{a, b}` (`a < b`) with
+/// third vertex `x` the record `[id(a, x), id(b, x)]`, the merge's
+/// layout, and sorts each cell's records by `x`, the order the merge
+/// emits.
+fn sweep_records(oriented: &OrientedAdjacency, counts: &[u32], threads: usize) -> ContainerIndex {
+    let lists: Vec<Vec<[u32; 6]>> = oriented.sweep_ranges(threads, |range| {
+        let mut tris = Vec::new();
         oriented.for_each_triangle_in(range, &mut |u, v, w, e_uv, e_uw, e_vw| {
             tris.push([u, v, w, e_uv, e_uw, e_vw]);
         });
         tris
-    };
-    let lists: Vec<Vec<[u32; 6]>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = balanced_ranges(&oriented.sweep_weights(), threads.max(1))
-            .into_iter()
-            .map(|range| scope.spawn(|| enumerate(range)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
     });
-    let offsets = offsets_from_counts(counts);
-    let mut data = vec![0u32; 2 * offsets[counts.len()]];
-    let weights: Vec<usize> = counts.iter().map(|&c| c as usize + 1).collect();
-    fill_ranges_scoped(
-        &mut data,
-        balanced_ranges(&weights, threads.max(1)),
-        |range| 2 * (offsets[range.end] - offsets[range.start]),
-        |range, chunk| {
-            let base = offsets[range.start];
-            // placed[c - range.start] = records of cell c written so far.
-            let mut placed = vec![0u32; range.len()];
-            let mut third = vec![0u32; chunk.len() / 2];
-            let mut place = |cell: u32, x: u32, rec: [u32; 2]| {
-                let local = (cell as usize).wrapping_sub(range.start);
-                if local < range.len() {
-                    let slot = offsets[cell as usize] - base + placed[local] as usize;
-                    third[slot] = x;
-                    chunk[2 * slot..2 * slot + 2].copy_from_slice(&rec);
-                    placed[local] += 1;
-                }
-            };
-            for &[u, v, w, e_uv, e_uw, e_vw] in lists.iter().flatten() {
-                place(e_uv, w, if u < v { [e_uw, e_vw] } else { [e_vw, e_uw] });
-                place(e_uw, v, if u < w { [e_uv, e_vw] } else { [e_vw, e_uv] });
-                place(e_vw, u, if v < w { [e_uv, e_uw] } else { [e_uw, e_uv] });
-            }
-            let mut scratch: Vec<(u32, u32, u32)> = Vec::new();
-            for (cell, &n) in range.zip(&placed) {
-                let (lo, hi) = (offsets[cell] - base, offsets[cell + 1] - base);
-                // Hard assert: ω counts that disagree with the sweep would
-                // leave zero-filled records or spill into a neighbour's slots.
-                assert_eq!(
-                    lo + n as usize,
-                    hi,
-                    "ω counts must match the triangle sweep"
-                );
-                if third[lo..hi].is_sorted() {
-                    continue;
-                }
-                let recs = &mut chunk[2 * lo..2 * hi];
-                scratch.clear();
-                scratch.extend(
-                    third[lo..hi]
-                        .iter()
-                        .zip(recs.chunks_exact(2))
-                        .map(|(&x, r)| (x, r[0], r[1])),
-                );
-                scratch.sort_unstable_by_key(|r| r.0);
-                for (r, &(_, a, b)) in recs.chunks_exact_mut(2).zip(&scratch) {
-                    r[0] = a;
-                    r[1] = b;
-                }
-            }
-        },
-    );
-    FlatRecords::from_parts(offsets, data, 2)
+    ContainerIndex::from_sweep(&lists, counts, threads, |&[u, v, w, e_uv, e_uw, e_vw]| {
+        [
+            (e_uv, w, if u < v { [e_uw, e_vw] } else { [e_vw, e_uw] }),
+            (e_uw, v, if u < w { [e_uv, e_vw] } else { [e_vw, e_uv] }),
+            (e_vw, u, if v < w { [e_uv, e_uw] } else { [e_uw, e_uv] }),
+        ]
+    })
 }
 
 impl PeelSpace for EdgeSpace {
@@ -210,9 +144,7 @@ impl PeelSpace for EdgeSpace {
             return None;
         }
         let oriented = fresh.unwrap_or_else(|| OrientedAdjacency::build(&self.g));
-        Some(ContainerIndex::from_records(sweep_records(
-            &oriented, counts, threads,
-        )))
+        Some(sweep_records(&oriented, counts, threads))
     }
 }
 
@@ -297,10 +229,9 @@ mod tests {
         }
     }
 
-    // The worker's "ω counts must match the triangle sweep" assert
-    // resurfaces from the thread scope under the scope's own message.
+    // One thread fills inline, so the fill check's message surfaces as is.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "ω counts must match the sweep")]
     fn swept_index_rejects_wrong_counts() {
         let g = diamond();
         let oriented = OrientedAdjacency::build(&g);

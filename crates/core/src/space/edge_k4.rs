@@ -7,7 +7,8 @@
 
 use std::sync::OnceLock;
 
-use nucleus_cliques::{k4_edge_degrees, k4_edge_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::triangles::OrientedAdjacency;
+use nucleus_cliques::{TriangleIndex, TriangleList};
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -17,8 +18,14 @@ use super::{PeelBackend, PeelSpace};
 /// Containers of `e = {u, v}` are K4s `{u, v, w, x}`: `w, x` are common
 /// neighbors of `u, v` (read off the per-edge triangle index) that are
 /// themselves adjacent; the other cells are the remaining five edges.
+/// ω does not walk those pairs: one oriented K4 sweep
+/// ([`OrientedAdjacency::k4_edge_degrees`]) finds each K4 once and
+/// credits its six edges.
 pub struct EdgeK4Space {
     g: CsrGraph,
+    /// The orientation and its triangles, shared by the K4 sweep and
+    /// the per-edge index.
+    triangles: OnceLock<(OrientedAdjacency, TriangleList)>,
     index: OnceLock<TriangleIndex>,
     degrees: OnceLock<Vec<u32>>,
     threads: usize,
@@ -26,18 +33,20 @@ pub struct EdgeK4Space {
 
 impl EdgeK4Space {
     /// Wraps `g`. Both the triangle index (consulted per container
-    /// enumeration) and the per-edge K4 counts are built on first use,
-    /// so sessions driven by a persisted index skip them entirely.
+    /// enumeration) and the per-edge K4 counts (the K4 sweep) are built
+    /// on first use, so sessions driven by a persisted index skip them
+    /// entirely.
     pub fn new(g: &CsrGraph) -> Self {
         Self::with_threads(g, 1)
     }
 
     /// Like [`EdgeK4Space::new`], but the deferred triangle-list +
     /// index builds and the per-edge K4 count run on `threads` worker
-    /// threads (all bit-identical to their serial twins).
+    /// threads (each identical at every thread count).
     pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         EdgeK4Space {
             g: g.clone(),
+            triangles: OnceLock::new(),
             index: OnceLock::new(),
             degrees: OnceLock::new(),
             threads,
@@ -49,10 +58,17 @@ impl EdgeK4Space {
         &self.g
     }
 
+    fn triangles(&self) -> &(OrientedAdjacency, TriangleList) {
+        self.triangles.get_or_init(|| {
+            let oriented = OrientedAdjacency::build(&self.g);
+            let tris = TriangleList::from_oriented(&oriented, self.threads);
+            (oriented, tris)
+        })
+    }
+
     fn index(&self) -> &TriangleIndex {
         self.index.get_or_init(|| {
-            let tris = TriangleList::build_with_threads(&self.g, self.threads);
-            TriangleIndex::build_with_threads(&self.g, &tris, self.threads)
+            TriangleIndex::build_with_threads(&self.g, &self.triangles().1, self.threads)
         })
     }
 }
@@ -83,16 +99,11 @@ impl PeelBackend for EdgeK4Space {
     }
 
     fn degrees(&self) -> Vec<u32> {
+        // The K4 sweep credits each K4's six edges: no triangle index.
         self.degrees
             .get_or_init(|| {
-                // counts exactly what `for_each_k4_of_edge` enumerates:
-                // adjacent pairs in each edge's third-vertex list
-                let index = self.index();
-                if self.threads <= 1 {
-                    k4_edge_degrees(&self.g, index)
-                } else {
-                    k4_edge_degrees_parallel(&self.g, index, self.threads)
-                }
+                let (oriented, tris) = self.triangles();
+                oriented.k4_edge_degrees(tris, self.threads)
             })
             .clone()
     }

@@ -6,9 +6,9 @@
 //! a cell each time one of its containers dies. [`ContainerIndex`]
 //! performs that enumeration exactly once, storing each container as a
 //! fixed-width record of co-cell ids in a [`FlatRecords`] buffer: per
-//! cell for most spaces, from one oriented triangle sweep over the
-//! whole graph for the (2,3) space ([`PeelSpace::container_index`]).
-//! [`IndexedSpace`] then serves the whole
+//! cell for most spaces, from one oriented sweep over the whole graph
+//! for the (2,3) space (triangles) and the (3,4) space (K4s), see
+//! [`PeelSpace::container_index`]. [`IndexedSpace`] then serves the whole
 //! [`PeelSpace`] interface from the flat index, so `peel`, `dft`,
 //! `fnd`, `naive`, `hypo_sweep` and `check_semantics` monomorphize over
 //! it unchanged.
@@ -223,7 +223,8 @@ impl ContainerIndex {
     /// Builds the index of a lazy space on up to `threads` worker
     /// threads, through the space's own fill
     /// ([`PeelSpace::container_index`]): one oriented triangle sweep for
-    /// the (2,3) [`crate::space::EdgeSpace`], and
+    /// the (2,3) [`crate::space::EdgeSpace`], one oriented K4 sweep for
+    /// the (3,4) [`crate::space::TriangleSpace`], and
     /// [`ContainerIndex::build_per_cell`] for the other spaces.
     pub fn build<S: PeelSpace + Sync>(space: &S, threads: usize) -> Self {
         space
@@ -269,6 +270,68 @@ impl ContainerIndex {
             },
         );
         Self::from_records(FlatRecords::from_parts(offsets, data, arity))
+    }
+
+    /// The records of a whole-graph sweep: `lists` holds the swept
+    /// items (triangles for (2,3), K4s for (3,4)) in one list per sweep
+    /// worker, and `records(item)` gives the `K` records each item puts
+    /// into its `K` cells as `(cell, key, co-cells)`, where the key (a
+    /// vertex, unique within a cell) orders a cell's records the way the
+    /// space's per-cell enumeration does. `counts` must be the ω counts,
+    /// i.e. the records per cell.
+    ///
+    /// Workers each own a disjoint range of cells (a disjoint slice of
+    /// the records) and read every list, keeping the records of their
+    /// own cells; each cell's records are then sorted by key, so the
+    /// result does not depend on how the sweep was split or on
+    /// `threads`. No locks, no atomics.
+    ///
+    /// # Panics
+    /// When `counts` disagree with the sweep (a hard check in release
+    /// builds too: a wrong count would leave zero-filled records or
+    /// spill into a neighbour's slots).
+    pub(crate) fn from_sweep<T, R, const K: usize, const A: usize>(
+        lists: &[Vec<T>],
+        counts: &[u32],
+        threads: usize,
+        records: R,
+    ) -> Self
+    where
+        T: Sync,
+        R: Fn(&T) -> [(u32, u32, [u32; A]); K] + Sync,
+    {
+        let offsets = offsets_from_counts(counts);
+        let mut data = vec![0u32; A * offsets[counts.len()]];
+        let weights: Vec<usize> = counts.iter().map(|&c| c as usize + 1).collect();
+        fill_ranges_scoped(
+            &mut data,
+            balanced_ranges(&weights, threads.max(1)),
+            |range| A * (offsets[range.end] - offsets[range.start]),
+            |range, chunk| {
+                let base = offsets[range.start];
+                // placed[c - range.start] = records of cell c written so far.
+                let mut placed = vec![0u32; range.len()];
+                let mut keys = vec![0u32; chunk.len() / A];
+                for item in lists.iter().flatten() {
+                    for (cell, key, rec) in records(item) {
+                        let local = (cell as usize).wrapping_sub(range.start);
+                        if local < range.len() {
+                            let slot = offsets[cell as usize] - base + placed[local] as usize;
+                            keys[slot] = key;
+                            chunk[A * slot..A * slot + A].copy_from_slice(&rec);
+                            placed[local] += 1;
+                        }
+                    }
+                }
+                let mut scratch: Vec<(u32, [u32; A])> = Vec::new();
+                for (cell, &n) in range.zip(&placed) {
+                    let (lo, hi) = (offsets[cell] - base, offsets[cell + 1] - base);
+                    assert_eq!(lo + n as usize, hi, "ω counts must match the sweep");
+                    sort_by_keys(&mut keys[lo..hi], &mut chunk[A * lo..A * hi], &mut scratch);
+                }
+            },
+        );
+        Self::from_records(FlatRecords::from_parts(offsets, data, A))
     }
 
     /// Wraps records built in this process.
@@ -395,6 +458,53 @@ impl ContainerIndex {
     }
 }
 
+/// Sorts one cell's records (`A` words each, back to back in `recs`) by
+/// their `keys`, which are unique within a cell, in place. Short cells
+/// take an insertion sort, which is quick on the sorted runs a sweep
+/// leaves; long ones sort through `scratch`.
+fn sort_by_keys<const A: usize>(
+    keys: &mut [u32],
+    recs: &mut [u32],
+    scratch: &mut Vec<(u32, [u32; A])>,
+) {
+    if keys.len() > 32 {
+        if !keys.is_sorted() {
+            scratch.clear();
+            scratch.extend(
+                keys.iter()
+                    .zip(recs.chunks_exact(A))
+                    .map(|(&k, r)| (k, r.try_into().expect("record arity"))),
+            );
+            scratch.sort_unstable_by_key(|r| r.0);
+            for ((k, r), (key, rec)) in keys
+                .iter_mut()
+                .zip(recs.chunks_exact_mut(A))
+                .zip(scratch.iter())
+            {
+                *k = *key;
+                r.copy_from_slice(rec);
+            }
+        }
+        return;
+    }
+    for i in 1..keys.len() {
+        let key = keys[i];
+        if keys[i - 1] <= key {
+            continue;
+        }
+        let mut rec = [0u32; A];
+        rec.copy_from_slice(&recs[A * i..A * i + A]);
+        let mut j = i;
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            recs.copy_within(A * (j - 1)..A * j, A * j);
+            j -= 1;
+        }
+        keys[j] = key;
+        recs[A * j..A * j + A].copy_from_slice(&rec);
+    }
+}
+
 /// A [`PeelSpace`] whose container enumeration is served from a
 /// borrowed [`ContainerIndex`] instead of recomputed — the
 /// *materialized* backend. Identity queries (`r`, `s`,
@@ -453,6 +563,31 @@ mod tests {
     use super::*;
     use crate::space::{EdgeK4Space, EdgeSpace, TriangleSpace, VertexSpace, VertexTriangleSpace};
     use nucleus_graph::CsrGraph;
+
+    /// Both paths of the per-cell sort (insertion up to 32 records,
+    /// scratch above) order records by key and keep each record whole.
+    #[test]
+    fn cell_sort_orders_records_by_key() {
+        let mut seed = 7u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for len in [0usize, 1, 2, 5, 32, 33, 100] {
+            let mut keys: Vec<u32> = (0..len as u32).map(|k| k * 3).collect();
+            for i in (1..len).rev() {
+                keys.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut recs: Vec<u32> = keys.iter().flat_map(|&k| [k, k + 1]).collect();
+            sort_by_keys::<2>(&mut keys, &mut recs, &mut Vec::new());
+            let want: Vec<u32> = (0..len as u32).map(|k| k * 3).collect();
+            assert_eq!(keys, want, "keys, {len} records");
+            let want: Vec<u32> = want.iter().flat_map(|&k| [k, k + 1]).collect();
+            assert_eq!(recs, want, "records, {len} records");
+        }
+    }
 
     fn complete(n: u32) -> CsrGraph {
         let mut edges = vec![];

@@ -3,23 +3,36 @@
 
 use std::sync::OnceLock;
 
-use nucleus_cliques::four_cliques::k4_degrees;
-use nucleus_cliques::{k4_degrees_parallel, TriangleIndex, TriangleList};
+use nucleus_cliques::triangles::OrientedAdjacency;
+use nucleus_cliques::{TriangleIndex, TriangleList, K4};
 use nucleus_graph::CsrGraph;
 
-use super::{PeelBackend, PeelSpace};
+use super::{ContainerIndex, PeelBackend, PeelSpace};
 
 /// The four-clique peeling space: `ω₄(t)` = number of K4s containing
-/// triangle `t`. Containers of `t = {u, v, w}` are apex vertices `x`
-/// adjacent to all three, found by intersecting two per-edge third-vertex
-/// lists; companion triangle ids come from the [`TriangleIndex`].
+/// triangle `t`.
+///
+/// A lazy run finds the containers of `t = {u, v, w}` — apex vertices
+/// `x` adjacent to all three — by merging the third-vertex lists of
+/// edges `(u, v)` and `(u, w)` in the per-edge [`TriangleIndex`], which
+/// also names the companion triangles. Neither ω nor the materialized
+/// [`ContainerIndex`] runs that merge: both come from the oriented K4
+/// sweep ([`OrientedAdjacency::for_each_k4_in`]), which finds each K4
+/// once, with its four triangle ids, and credits the four triangles.
+/// The index build scatters each K4's four records into its triangles
+/// and orders every triangle's records by apex — the order the merge
+/// emits.
 ///
 /// Only the triangle list itself — the cell identities — is built
-/// eagerly. The per-edge index (consulted by container enumeration) and
-/// the K4 counts (`ω`) are deferred to first use: a session loading a
-/// persisted (3,4) index needs neither and pays for neither.
+/// eagerly. The per-edge index (consulted by lazy container
+/// enumeration) and the K4 counts (`ω`) are deferred to first use: a
+/// session loading a persisted (3,4) index needs neither and pays for
+/// neither.
 pub struct TriangleSpace {
     g: CsrGraph,
+    /// The degeneracy orientation the triangle list was swept from; the
+    /// K4 sweep reuses it, so its triangle ids are the list's.
+    oriented: OrientedAdjacency,
     tris: TriangleList,
     index: OnceLock<TriangleIndex>,
     k4deg: OnceLock<Vec<u32>>,
@@ -36,15 +49,17 @@ impl TriangleSpace {
 
     /// Builds the space like [`TriangleSpace::new`], but runs **every**
     /// construction pass — the eager triangle enumeration, the lazy
-    /// per-edge index, and the lazy K4 degrees — with `threads` worker
-    /// threads (the same knob as
-    /// [`nucleus_cliques::parallel::triangle_count_parallel`]). All
-    /// three parallel builders are bit-identical to their serial twins,
-    /// so the space's observable state never depends on `threads`.
+    /// per-edge index, and the lazy K4 sweep — with `threads` worker
+    /// threads (the `threads` argument of the
+    /// [`OrientedAdjacency`] counters). Each pass gives the same output
+    /// at every thread count, so the space's observable state never
+    /// depends on `threads`.
     pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
+        let oriented = OrientedAdjacency::build(g);
         TriangleSpace {
             g: g.clone(),
-            tris: TriangleList::build_with_threads(g, threads),
+            tris: TriangleList::from_oriented(&oriented, threads),
+            oriented,
             index: OnceLock::new(),
             k4deg: OnceLock::new(),
             threads,
@@ -56,14 +71,10 @@ impl TriangleSpace {
             .get_or_init(|| TriangleIndex::build_with_threads(&self.g, &self.tris, self.threads))
     }
 
+    /// K4 degrees from a counting-only K4 sweep.
     fn k4deg(&self) -> &[u32] {
-        self.k4deg.get_or_init(|| {
-            if self.threads <= 1 {
-                k4_degrees(&self.g, &self.tris)
-            } else {
-                k4_degrees_parallel(&self.g, &self.tris, self.threads)
-            }
-        })
+        self.k4deg
+            .get_or_init(|| self.oriented.k4_degrees(&self.tris, self.threads))
     }
 
     /// The underlying graph.
@@ -80,6 +91,47 @@ impl TriangleSpace {
     pub fn k4_count(&self) -> u64 {
         self.k4deg().iter().map(|&d| d as u64).sum::<u64>() / 4
     }
+}
+
+/// A swept K4 as `(vertex, id of the opposite face)` pairs in ascending
+/// vertex id.
+type Faces = [(u32, u32); 4];
+
+fn faces(k4: &K4) -> Faces {
+    let mut f: Faces = std::array::from_fn(|i| (k4.vertices[i], k4.triangles[i]));
+    // A sorting network: by vertex id, ascending.
+    for (i, j) in [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)] {
+        if f[i].0 > f[j].0 {
+            f.swap(i, j);
+        }
+    }
+    f
+}
+
+/// The four container records of one K4 `{s0 < s1 < s2 < s3}` with
+/// faces `t_i` opposite `s_i`: cell `t_i` gets apex `s_i` and the other
+/// three faces. For cell `{a < b < c}` with apex `y`, the record is
+/// `[tid(a,b,y), tid(a,c,y), tid(b,c,y)]` — the faces opposite `c`, `b`
+/// and `a` — the layout of [`TriangleSpace::for_each_container`].
+fn k4_records(f: &Faces) -> [(u32, u32, [u32; 3]); 4] {
+    let [(s0, t0), (s1, t1), (s2, t2), (s3, t3)] = *f;
+    [
+        (t0, s0, [t3, t2, t1]),
+        (t1, s1, [t3, t2, t0]),
+        (t2, s2, [t3, t1, t0]),
+        (t3, s3, [t2, t1, t0]),
+    ]
+}
+
+/// Every K4 of `oriented`, whose triangles are `tris`, swept on up to
+/// `threads` worker threads into one list per worker.
+fn sweep_k4s(oriented: &OrientedAdjacency, tris: &TriangleList, threads: usize) -> Vec<Vec<Faces>> {
+    let tri_offsets = oriented.triangle_offsets(tris);
+    oriented.sweep_ranges(threads, |range| {
+        let mut k4s = Vec::new();
+        oriented.for_each_k4_in(range, &tri_offsets, &mut |k4| k4s.push(faces(k4)));
+        k4s
+    })
 }
 
 impl PeelBackend for TriangleSpace {
@@ -131,6 +183,33 @@ impl PeelSpace for TriangleSpace {
 
     fn cell_vertices(&self, cell: u32, out: &mut Vec<u32>) {
         out.extend_from_slice(&self.tris.vertices[cell as usize]);
+    }
+
+    /// The index from one oriented K4 sweep: workers sweep disjoint
+    /// vertex ranges into K4 lists, ω is tallied from those lists
+    /// (unless it was counted before), and each K4 scatters one record
+    /// into each of its four triangles, ordered by apex, so the index
+    /// equals the per-cell merge fill record for record at any thread
+    /// count. The lists take 32 bytes per K4 while they live, two
+    /// thirds of the index's own 48.
+    fn container_index<F>(&self, threads: usize, decide: F) -> Option<ContainerIndex>
+    where
+        F: FnOnce(&[u32]) -> bool,
+    {
+        let lists = sweep_k4s(&self.oriented, &self.tris, threads);
+        let counts = self.k4deg.get_or_init(|| {
+            let mut deg = vec![0u32; self.tris.len()];
+            for &(_, t) in lists.iter().flatten().flatten() {
+                deg[t as usize] += 1;
+            }
+            deg
+        });
+        if !decide(counts) {
+            return None;
+        }
+        Some(ContainerIndex::from_sweep(
+            &lists, counts, threads, k4_records,
+        ))
     }
 }
 
@@ -197,6 +276,38 @@ mod tests {
         s.cell_vertices(0, &mut out);
         assert_eq!(out.len(), 3);
         assert!(out.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn swept_index_matches_per_cell_fill() {
+        for g in [complete(7), nucleus_gen::karate::karate_club()] {
+            let s = TriangleSpace::with_threads(&g, 2);
+            let per_cell = ContainerIndex::build_per_cell(&s, s.degrees(), 1);
+            for threads in [1, 2, 3] {
+                let swept = ContainerIndex::build(&TriangleSpace::new(&g), threads);
+                assert_eq!(swept.counts(), per_cell.counts(), "ω at t={threads}");
+                for t in 0..s.cell_count() as u32 {
+                    let (mut a, mut b) = (vec![], vec![]);
+                    per_cell.for_each_container(t, |o| a.push(o.to_vec()));
+                    swept.for_each_container(t, |o| b.push(o.to_vec()));
+                    assert_eq!(a, b, "triangle {t} at t={threads}");
+                }
+            }
+        }
+    }
+
+    // One record moves between two cells, so the total still matches
+    // and only the per-cell fill check can see it (one thread fills
+    // inline, so its message surfaces as is).
+    #[test]
+    #[should_panic(expected = "ω counts must match the sweep")]
+    fn swept_index_rejects_wrong_counts() {
+        let s = TriangleSpace::new(&complete(5));
+        let lists = sweep_k4s(&s.oriented, &s.tris, 1);
+        let mut counts = s.degrees();
+        counts[0] += 1;
+        counts[1] -= 1;
+        ContainerIndex::from_sweep(&lists, &counts, 1, k4_records);
     }
 
     #[test]

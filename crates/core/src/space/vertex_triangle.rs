@@ -9,6 +9,7 @@
 
 use std::sync::OnceLock;
 
+use nucleus_cliques::triangles::OrientedAdjacency;
 use nucleus_graph::CsrGraph;
 
 use super::{PeelBackend, PeelSpace};
@@ -52,13 +53,7 @@ impl PeelBackend for VertexTriangleSpace {
 
     fn degrees(&self) -> Vec<u32> {
         self.degrees
-            .get_or_init(|| {
-                if self.threads <= 1 {
-                    nucleus_cliques::vertex_triangle_counts(&self.g)
-                } else {
-                    nucleus_cliques::vertex_triangle_counts_parallel(&self.g, self.threads)
-                }
-            })
+            .get_or_init(|| OrientedAdjacency::build(&self.g).vertex_triangle_counts(self.threads))
             .clone()
     }
 

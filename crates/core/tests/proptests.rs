@@ -27,7 +27,9 @@ use nucleus_graph::CsrGraph;
 ///   edge→thirds index ([`TriangleIndex::build_with_threads`]) — the
 ///   shared substrate of the (1,3), (2,3), (2,4) and (3,4) spaces;
 /// * the per-family ω-degree kernels (edge supports, per-vertex triangle
-///   counts, per-edge K4 degrees) that feed the peeling engines;
+///   counts, per-edge K4 degrees from the K4 sweep) that feed the
+///   peeling engines — the per-edge K4 degrees also against the
+///   brute-force `kclique` enumerator;
 /// * the whole prepared pipeline: `prepare` → FND at every thread count
 ///   must produce identical λ and an identical hierarchy for all five
 ///   kinds, and an identical order at 2 and 8 threads, where the session
@@ -36,16 +38,23 @@ use nucleus_graph::CsrGraph;
 ///   one thread and forces the parallel `build_hierarchy` path via
 ///   `min_parallel_work: 0`).
 fn check_prepare_equivalence(g: &CsrGraph) {
-    use nucleus_cliques::triangles::edge_supports;
-    use nucleus_cliques::{
-        k4_edge_degrees, k4_edge_degrees_parallel, vertex_triangle_counts,
-        vertex_triangle_counts_parallel, TriangleIndex, TriangleList,
-    };
+    use nucleus_cliques::kclique::for_each_clique;
+    use nucleus_cliques::triangles::{edge_supports, OrientedAdjacency};
+    use nucleus_cliques::{vertex_triangle_counts, TriangleIndex, TriangleList};
     let tris = TriangleList::build(g);
     let index = TriangleIndex::build(g, &tris);
     let vtc = vertex_triangle_counts(g);
-    let k4d = k4_edge_degrees(g, &index);
     let supports = edge_supports(g);
+    let mut k4d = vec![0u32; g.m()];
+    for_each_clique(g, 4, |c| {
+        for i in 0..4 {
+            for j in i + 1..4 {
+                k4d[g.edge_id(c[i], c[j]).expect("K4 edge") as usize] += 1;
+            }
+        }
+    });
+    let oriented = OrientedAdjacency::build(g);
+    let oriented_tris = TriangleList::from_oriented(&oriented, 1);
     for threads in [1usize, 2, 8] {
         assert_eq!(
             tris,
@@ -57,16 +66,16 @@ fn check_prepare_equivalence(g: &CsrGraph) {
             TriangleIndex::build_with_threads(g, &tris, threads),
             "TriangleIndex at t={threads}"
         );
+        assert_eq!(
+            k4d,
+            oriented.k4_edge_degrees(&oriented_tris, threads),
+            "K4 edge degrees at t={threads}"
+        );
         if threads > 1 {
             assert_eq!(
                 vtc,
-                vertex_triangle_counts_parallel(g, threads),
+                oriented.vertex_triangle_counts(threads),
                 "vertex triangle counts at t={threads}"
-            );
-            assert_eq!(
-                k4d,
-                k4_edge_degrees_parallel(g, &index, threads),
-                "K4 edge degrees at t={threads}"
             );
             assert_eq!(
                 supports,
@@ -99,13 +108,14 @@ fn check_prepare_equivalence(g: &CsrGraph) {
     }
 }
 
-/// Pins the (2,3) index from one oriented triangle sweep
-/// ([`ContainerIndex::build`] on [`EdgeSpace`]) to the per-cell
-/// merge fill ([`ContainerIndex::build_per_cell`]): same records in the
-/// same order for every cell, and the same persisted bytes, at 1, 2 and
-/// 8 worker threads — both when the sweep reuses the orientation the
-/// support count left behind and when it builds its own.
-fn check_truss_index_sweep(g: &CsrGraph) {
+/// Pins the index a space builds from one whole-graph sweep
+/// ([`ContainerIndex::build`]) to the per-cell fill of its lazy
+/// enumeration ([`ContainerIndex::build_per_cell`]): same ω, same
+/// records in the same order for every cell, and the same persisted
+/// bytes, at 1, 2 and 8 worker threads — both on a fresh space, whose
+/// first build also counts ω, and on one whose ω is already counted.
+/// Returns ω.
+fn check_index_sweep<S: PeelSpace + Sync>(g: &CsrGraph, space: impl Fn(usize) -> S) -> Vec<u32> {
     use nucleus_graph::persist_io::graph_fingerprint;
     let records = |index: &ContainerIndex| -> Vec<Vec<Vec<u32>>> {
         (0..index.cell_count() as u32)
@@ -116,34 +126,61 @@ fn check_truss_index_sweep(g: &CsrGraph) {
             })
             .collect()
     };
+    let lazy = space(1);
     let bytes = |index: &ContainerIndex| {
         let mut out = vec![];
         index
-            .write_to(&mut out, 2, 3, graph_fingerprint(g))
+            .write_to(&mut out, lazy.r(), lazy.s(), graph_fingerprint(g))
             .expect("encode");
         out
     };
-    let lazy = EdgeSpace::new(g);
     let per_cell = ContainerIndex::build_per_cell(&lazy, lazy.degrees(), 1);
     let (expect_records, expect_bytes) = (records(&per_cell), bytes(&per_cell));
     for threads in [1usize, 2, 8] {
-        let space = EdgeSpace::with_threads(g, threads);
-        // The first build counts the supports and reuses that
-        // orientation; the second finds them counted and orients anew.
-        let shared = ContainerIndex::build(&space, threads);
-        let fresh = ContainerIndex::build(&space, threads);
-        for (how, swept) in [("shared orientation", &shared), ("own orientation", &fresh)] {
-            let label = format!("t={threads}, {how}");
+        let space = space(threads);
+        let first = ContainerIndex::build(&space, threads);
+        let again = ContainerIndex::build(&space, threads);
+        for (how, swept) in [("first build", &first), ("ω counted before", &again)] {
+            let label = format!("{} t={threads}, {how}", lazy.name());
             assert_eq!(swept.counts(), per_cell.counts(), "ω at {label}");
             assert_eq!(records(swept), expect_records, "records at {label}");
             assert_eq!(bytes(swept), expect_bytes, "bytes at {label}");
         }
     }
+    per_cell.counts()
+}
+
+/// The (2,3) index from one oriented triangle sweep: the first build
+/// reuses the orientation of the support count, the second orients
+/// anew.
+fn check_truss_index_sweep(g: &CsrGraph) {
+    check_index_sweep(g, |threads| EdgeSpace::with_threads(g, threads));
+}
+
+/// The (3,4) index from one oriented K4 sweep: the first build takes ω
+/// from the K4 lists, the second finds it counted. ω must also equal
+/// the K4 degrees by their definition, `|N(u) ∩ N(v) ∩ N(w)|` for
+/// triangle `{u, v, w}`.
+fn check_nucleus34_index_sweep(g: &CsrGraph) {
+    let omega = check_index_sweep(g, |threads| TriangleSpace::with_threads(g, threads));
+    let adjacent = |a: u32, b: u32| g.edge_id(a, b).is_some();
+    let by_definition: Vec<u32> = nucleus_cliques::TriangleList::build(g)
+        .vertices
+        .iter()
+        .map(|&[u, v, w]| {
+            let common = g
+                .neighbors(u)
+                .iter()
+                .filter(|&&x| adjacent(v, x) && adjacent(w, x));
+            common.count() as u32
+        })
+        .collect();
+    assert_eq!(omega, by_definition, "ω against the definition");
 }
 
 /// The swept truss index on the degenerate shapes: no vertices, no
 /// edges, a triangle-free star, and cliques where every edge carries
-/// `n − 2` records.
+/// `n − 2` records (more than 32 in K36, the per-cell sort's long path).
 #[test]
 fn prepare_equivalence_truss_index_sweep_shapes() {
     let star: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
@@ -160,8 +197,43 @@ fn prepare_equivalence_truss_index_sweep_shapes() {
         clique(3),
         clique(7),
         clique(16),
+        clique(36),
     ] {
         check_truss_index_sweep(&g);
+    }
+}
+
+/// The swept (3,4) index on the degenerate shapes: no vertices, no
+/// edges, a star, a diamond (triangles but no K4), cliques where every
+/// triangle carries `n − 3` records (more than 32 in K36, the per-cell
+/// sort's long path), and two K5s sharing a triangle.
+#[test]
+fn prepare_equivalence_nucleus34_index_sweep_shapes() {
+    let star: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
+    let clique_on = |vs: &[u32]| -> Vec<(u32, u32)> {
+        vs.iter()
+            .enumerate()
+            .flat_map(|(i, &u)| vs[i + 1..].iter().map(move |&v| (u, v)))
+            .collect()
+    };
+    let clique = |n: u32| {
+        let vs: Vec<u32> = (0..n).collect();
+        CsrGraph::from_edges(n as usize, &clique_on(&vs))
+    };
+    let mut twin_k5 = clique_on(&[0, 1, 2, 3, 4]);
+    twin_k5.extend(clique_on(&[0, 1, 2, 5, 6]));
+    for g in [
+        CsrGraph::from_edges(0, &[]),
+        CsrGraph::from_edges(5, &[]),
+        CsrGraph::from_edges(12, &star),
+        CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+        clique(4),
+        clique(5),
+        clique(7),
+        clique(36),
+        CsrGraph::from_edges(7, &twin_k5),
+    ] {
+        check_nucleus34_index_sweep(&g);
     }
 }
 
@@ -443,6 +515,28 @@ proptest! {
     #[test]
     fn prepare_equivalence(g in graph_strategy(14, 55)) {
         check_prepare_equivalence(&g);
+    }
+
+    /// The swept (3,4) index on Erdős–Rényi, Barabási–Albert and
+    /// skewed R-MAT graphs (hub triangles carry long, out-of-order runs).
+    #[test]
+    fn prepare_equivalence_nucleus34_index_sweep(
+        model in 0u32..3,
+        size in 8u32..90,
+        density in 1u32..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = match model {
+            0 => nucleus_gen::er::gnp(size, (density as f64 * 4.0 / size as f64).min(1.0), seed),
+            1 => nucleus_gen::ba::barabasi_albert(size, density + 1, seed),
+            _ => nucleus_gen::rmat::rmat(
+                3 + size % 6,
+                density + 2,
+                nucleus_gen::rmat::RmatParams::skewed(),
+                seed,
+            ),
+        };
+        check_nucleus34_index_sweep(&g);
     }
 
     /// The swept truss index on Erdős–Rényi, Barabási–Albert and
