@@ -13,9 +13,10 @@
 //!   ω already in hand. For (2,3), the oriented triangle sweep, its
 //!   orientation included (a session shares that orientation with the
 //!   support count, so `prepare-total` pays for it once). For (3,4),
-//!   the oriented K4 sweep with its orientation: a session takes ω from
-//!   the same K4 lists, so this row is the session's ω and index
-//!   together, less a tally of the lists;
+//!   the oriented K4 sweep into lists and their scatter (the space
+//!   keeps its orientation); a session runs the counting-only sweep of
+//!   the `degrees-*` rows first, so it can refuse the index before any
+//!   list exists;
 //! * `triangle-index-serial/-tN` ((3,4) only) — the edge→thirds
 //!   [`TriangleIndex`] over a pre-built triangle list, which only lazy
 //!   (3,4) runs consult;

@@ -97,20 +97,17 @@ impl OrientedAdjacency {
         T: Send,
         W: Fn(std::ops::Range<usize>) -> T + Sync,
     {
+        run_ranges(self.sweep_split(threads), work)
+    }
+
+    /// The vertex ranges of [`OrientedAdjacency::sweep_ranges`]: all
+    /// vertices for one thread, else [`crate::balanced_ranges`] of
+    /// [`OrientedAdjacency::sweep_weights`].
+    fn sweep_split(&self, threads: usize) -> Vec<std::ops::Range<usize>> {
         if threads <= 1 {
-            return vec![work(0..self.n())];
+            return std::iter::once(0..self.n()).collect();
         }
-        let ranges = crate::parallel::balanced_ranges(&self.sweep_weights(), threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|range| scope.spawn(|| work(range)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
+        crate::parallel::balanced_ranges(&self.sweep_weights(), threads)
     }
 
     /// Per-item counts over [`OrientedAdjacency::sweep_ranges`]: each
@@ -251,6 +248,28 @@ impl OrientedAdjacency {
     }
 }
 
+/// Runs `work` once per range, each on its own scoped worker thread (a
+/// single range inline), and returns the results in range order.
+fn run_ranges<T, W>(ranges: Vec<std::ops::Range<usize>>, work: W) -> Vec<T>
+where
+    T: Send,
+    W: Fn(std::ops::Range<usize>) -> T + Sync,
+{
+    if let [range] = &ranges[..] {
+        return vec![work(range.clone())];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .map(|range| scope.spawn(|| work(range)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
 /// Calls `f(u, v, w, e_uv, e_uw, e_vw)` once per triangle of `g`.
 ///
 /// The vertex triple is *not* sorted by id (it follows the orientation);
@@ -360,13 +379,12 @@ impl TriangleList {
             return TriangleList { vertices, edges };
         }
         // Pass 1: triangles per range.
-        let counts: Vec<usize> = oriented.sweep_ranges(threads, |range| {
+        let ranges = oriented.sweep_split(threads);
+        let counts: Vec<usize> = run_ranges(ranges.clone(), |range| {
             let mut c = 0usize;
             oriented.for_each_triangle_in(range, &mut |_, _, _, _, _, _| c += 1);
             c
         });
-        // `sweep_ranges` split the vertices exactly like this.
-        let ranges = crate::parallel::balanced_ranges(&oriented.sweep_weights(), threads);
         // Pass 2: prefix-sum the counts into chunk sizes and fill each
         // range's slice of both arrays in enumeration order.
         let total: usize = counts.iter().sum();

@@ -97,9 +97,9 @@ pub trait PeelSpace: PeelBackend {
     /// ([`ContainerIndex::build_per_cell`]). A space with a cheaper
     /// whole-graph enumeration overrides it, as [`EdgeSpace`] does with
     /// one triangle sweep that reuses the orientation its support count
-    /// built, and [`TriangleSpace`] with one K4 sweep that also yields
-    /// ω; the override must produce the same records in the same
-    /// order.
+    /// built, and [`TriangleSpace`] with one K4 sweep after ω came from
+    /// a counting-only pass of the same kernel; the override must
+    /// produce the same records in the same order.
     fn container_index<F>(&self, threads: usize, decide: F) -> Option<ContainerIndex>
     where
         Self: Sized + Sync,

@@ -23,9 +23,6 @@ use super::{PeelBackend, PeelSpace};
 /// credits its six edges.
 pub struct EdgeK4Space {
     g: CsrGraph,
-    /// The orientation and its triangles, shared by the K4 sweep and
-    /// the per-edge index.
-    triangles: OnceLock<(OrientedAdjacency, TriangleList)>,
     index: OnceLock<TriangleIndex>,
     degrees: OnceLock<Vec<u32>>,
     threads: usize,
@@ -46,7 +43,6 @@ impl EdgeK4Space {
     pub fn with_threads(g: &CsrGraph, threads: usize) -> Self {
         EdgeK4Space {
             g: g.clone(),
-            triangles: OnceLock::new(),
             index: OnceLock::new(),
             degrees: OnceLock::new(),
             threads,
@@ -58,17 +54,10 @@ impl EdgeK4Space {
         &self.g
     }
 
-    fn triangles(&self) -> &(OrientedAdjacency, TriangleList) {
-        self.triangles.get_or_init(|| {
-            let oriented = OrientedAdjacency::build(&self.g);
-            let tris = TriangleList::from_oriented(&oriented, self.threads);
-            (oriented, tris)
-        })
-    }
-
     fn index(&self) -> &TriangleIndex {
         self.index.get_or_init(|| {
-            TriangleIndex::build_with_threads(&self.g, &self.triangles().1, self.threads)
+            let tris = TriangleList::build_with_threads(&self.g, self.threads);
+            TriangleIndex::build_with_threads(&self.g, &tris, self.threads)
         })
     }
 }
@@ -99,11 +88,20 @@ impl PeelBackend for EdgeK4Space {
     }
 
     fn degrees(&self) -> Vec<u32> {
-        // The K4 sweep credits each K4's six edges: no triangle index.
+        // The K4 sweep credits each K4's six edges. Every run that needs
+        // ω also enumerates containers, so the per-edge index is built
+        // from the same triangle list before the list is dropped; the
+        // space keeps neither the list nor its orientation.
         self.degrees
             .get_or_init(|| {
-                let (oriented, tris) = self.triangles();
-                oriented.k4_edge_degrees(tris, self.threads)
+                let oriented = OrientedAdjacency::build(&self.g);
+                let tris = TriangleList::from_oriented(&oriented, self.threads);
+                let degrees = oriented.k4_edge_degrees(&tris, self.threads);
+                drop(oriented);
+                self.index.get_or_init(|| {
+                    TriangleIndex::build_with_threads(&self.g, &tris, self.threads)
+                });
+                degrees
             })
             .clone()
     }

@@ -327,7 +327,7 @@ impl ContainerIndex {
                 for (cell, &n) in range.zip(&placed) {
                     let (lo, hi) = (offsets[cell] - base, offsets[cell + 1] - base);
                     assert_eq!(lo + n as usize, hi, "ω counts must match the sweep");
-                    sort_by_keys(&mut keys[lo..hi], &mut chunk[A * lo..A * hi], &mut scratch);
+                    sort_by_keys(&keys[lo..hi], &mut chunk[A * lo..A * hi], &mut scratch);
                 }
             },
         );
@@ -459,49 +459,25 @@ impl ContainerIndex {
 }
 
 /// Sorts one cell's records (`A` words each, back to back in `recs`) by
-/// their `keys`, which are unique within a cell, in place. Short cells
-/// take an insertion sort, which is quick on the sorted runs a sweep
-/// leaves; long ones sort through `scratch`.
+/// their `keys`, which are unique within a cell, through `scratch`;
+/// cells the sweep left in order are skipped.
 fn sort_by_keys<const A: usize>(
-    keys: &mut [u32],
+    keys: &[u32],
     recs: &mut [u32],
     scratch: &mut Vec<(u32, [u32; A])>,
 ) {
-    if keys.len() > 32 {
-        if !keys.is_sorted() {
-            scratch.clear();
-            scratch.extend(
-                keys.iter()
-                    .zip(recs.chunks_exact(A))
-                    .map(|(&k, r)| (k, r.try_into().expect("record arity"))),
-            );
-            scratch.sort_unstable_by_key(|r| r.0);
-            for ((k, r), (key, rec)) in keys
-                .iter_mut()
-                .zip(recs.chunks_exact_mut(A))
-                .zip(scratch.iter())
-            {
-                *k = *key;
-                r.copy_from_slice(rec);
-            }
-        }
+    if keys.is_sorted() {
         return;
     }
-    for i in 1..keys.len() {
-        let key = keys[i];
-        if keys[i - 1] <= key {
-            continue;
-        }
-        let mut rec = [0u32; A];
-        rec.copy_from_slice(&recs[A * i..A * i + A]);
-        let mut j = i;
-        while j > 0 && keys[j - 1] > key {
-            keys[j] = keys[j - 1];
-            recs.copy_within(A * (j - 1)..A * j, A * j);
-            j -= 1;
-        }
-        keys[j] = key;
-        recs[A * j..A * j + A].copy_from_slice(&rec);
+    scratch.clear();
+    scratch.extend(
+        keys.iter()
+            .zip(recs.chunks_exact(A))
+            .map(|(&k, r)| (k, r.try_into().expect("record arity"))),
+    );
+    scratch.sort_unstable_by_key(|r| r.0);
+    for (r, (_, rec)) in recs.chunks_exact_mut(A).zip(scratch.iter()) {
+        r.copy_from_slice(rec);
     }
 }
 
@@ -563,31 +539,6 @@ mod tests {
     use super::*;
     use crate::space::{EdgeK4Space, EdgeSpace, TriangleSpace, VertexSpace, VertexTriangleSpace};
     use nucleus_graph::CsrGraph;
-
-    /// Both paths of the per-cell sort (insertion up to 32 records,
-    /// scratch above) order records by key and keep each record whole.
-    #[test]
-    fn cell_sort_orders_records_by_key() {
-        let mut seed = 7u64;
-        let mut next = || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for len in [0usize, 1, 2, 5, 32, 33, 100] {
-            let mut keys: Vec<u32> = (0..len as u32).map(|k| k * 3).collect();
-            for i in (1..len).rev() {
-                keys.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            let mut recs: Vec<u32> = keys.iter().flat_map(|&k| [k, k + 1]).collect();
-            sort_by_keys::<2>(&mut keys, &mut recs, &mut Vec::new());
-            let want: Vec<u32> = (0..len as u32).map(|k| k * 3).collect();
-            assert_eq!(keys, want, "keys, {len} records");
-            let want: Vec<u32> = want.iter().flat_map(|&k| [k, k + 1]).collect();
-            assert_eq!(recs, want, "records, {len} records");
-        }
-    }
 
     fn complete(n: u32) -> CsrGraph {
         let mut edges = vec![];

@@ -18,10 +18,10 @@ use super::{ContainerIndex, PeelBackend, PeelSpace};
 /// also names the companion triangles. Neither ω nor the materialized
 /// [`ContainerIndex`] runs that merge: both come from the oriented K4
 /// sweep ([`OrientedAdjacency::for_each_k4_in`]), which finds each K4
-/// once, with its four triangle ids, and credits the four triangles.
-/// The index build scatters each K4's four records into its triangles
-/// and orders every triangle's records by apex — the order the merge
-/// emits.
+/// once, with its four triangle ids. ω counts each triangle's K4s
+/// without storing them; the index build sweeps again into K4 lists,
+/// scatters each K4's four records into its triangles and orders every
+/// triangle's records by apex — the order the merge emits.
 ///
 /// Only the triangle list itself — the cell identities — is built
 /// eagerly. The per-edge index (consulted by lazy container
@@ -185,28 +185,22 @@ impl PeelSpace for TriangleSpace {
         out.extend_from_slice(&self.tris.vertices[cell as usize]);
     }
 
-    /// The index from one oriented K4 sweep: workers sweep disjoint
-    /// vertex ranges into K4 lists, ω is tallied from those lists
-    /// (unless it was counted before), and each K4 scatters one record
-    /// into each of its four triangles, ordered by apex, so the index
-    /// equals the per-cell merge fill record for record at any thread
-    /// count. The lists take 32 bytes per K4 while they live, two
-    /// thirds of the index's own 48.
+    /// The index from one oriented K4 sweep: ω comes first, from the
+    /// counting-only sweep, so `decide` can refuse an index before any
+    /// record exists; then workers sweep disjoint vertex ranges into K4
+    /// lists and each K4 scatters one record into each of its four
+    /// triangles, ordered by apex, so the index equals the per-cell
+    /// merge fill record for record at any thread count. The lists take
+    /// 32 bytes per K4 while they live, two thirds of the index's own 48.
     fn container_index<F>(&self, threads: usize, decide: F) -> Option<ContainerIndex>
     where
         F: FnOnce(&[u32]) -> bool,
     {
-        let lists = sweep_k4s(&self.oriented, &self.tris, threads);
-        let counts = self.k4deg.get_or_init(|| {
-            let mut deg = vec![0u32; self.tris.len()];
-            for &(_, t) in lists.iter().flatten().flatten() {
-                deg[t as usize] += 1;
-            }
-            deg
-        });
+        let counts = self.k4deg();
         if !decide(counts) {
             return None;
         }
+        let lists = sweep_k4s(&self.oriented, &self.tris, threads);
         Some(ContainerIndex::from_sweep(
             &lists, counts, threads, k4_records,
         ))

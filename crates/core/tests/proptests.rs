@@ -157,8 +157,8 @@ fn check_truss_index_sweep(g: &CsrGraph) {
     check_index_sweep(g, |threads| EdgeSpace::with_threads(g, threads));
 }
 
-/// The (3,4) index from one oriented K4 sweep: the first build takes ω
-/// from the K4 lists, the second finds it counted. ω must also equal
+/// The (3,4) index from one oriented K4 sweep: the first build counts
+/// ω on the way, the second finds it counted. ω must also equal
 /// the K4 degrees by their definition, `|N(u) ∩ N(v) ∩ N(w)|` for
 /// triangle `{u, v, w}`.
 fn check_nucleus34_index_sweep(g: &CsrGraph) {
@@ -180,7 +180,7 @@ fn check_nucleus34_index_sweep(g: &CsrGraph) {
 
 /// The swept truss index on the degenerate shapes: no vertices, no
 /// edges, a triangle-free star, and cliques where every edge carries
-/// `n − 2` records (more than 32 in K36, the per-cell sort's long path).
+/// `n − 2` records.
 #[test]
 fn prepare_equivalence_truss_index_sweep_shapes() {
     let star: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
@@ -197,7 +197,6 @@ fn prepare_equivalence_truss_index_sweep_shapes() {
         clique(3),
         clique(7),
         clique(16),
-        clique(36),
     ] {
         check_truss_index_sweep(&g);
     }
@@ -205,8 +204,7 @@ fn prepare_equivalence_truss_index_sweep_shapes() {
 
 /// The swept (3,4) index on the degenerate shapes: no vertices, no
 /// edges, a star, a diamond (triangles but no K4), cliques where every
-/// triangle carries `n − 3` records (more than 32 in K36, the per-cell
-/// sort's long path), and two K5s sharing a triangle.
+/// triangle carries `n − 3` records, and two K5s sharing a triangle.
 #[test]
 fn prepare_equivalence_nucleus34_index_sweep_shapes() {
     let star: Vec<(u32, u32)> = (1..12).map(|v| (0, v)).collect();
@@ -230,7 +228,6 @@ fn prepare_equivalence_nucleus34_index_sweep_shapes() {
         clique(4),
         clique(5),
         clique(7),
-        clique(36),
         CsrGraph::from_edges(7, &twin_k5),
     ] {
         check_nucleus34_index_sweep(&g);
